@@ -52,13 +52,13 @@ void report(const char* label, double rate, const session::ExperimentResult& r) 
   const double duration_s = to_seconds(r.script_duration);
   const double frame_rate =
       duration_s > 0 ? static_cast<double>(r.summary.total) / duration_s : 0.0;
+  const auto n = [&r](const char* counter) {
+    return static_cast<unsigned long long>(r.obs->metrics.counter_total(counter));
+  };
   std::printf("%-26s %6.1f %9.3f %9.3f %9.3f %7zu %5llu %5llu %5llu %5llu\n",
               label, rate, frame_rate, r.summary.mean_total_s,
-              r.summary.mean_comm_wan_s, r.failed_accesses,
-              static_cast<unsigned long long>(r.robustness.timeouts),
-              static_cast<unsigned long long>(r.robustness.failovers),
-              static_cast<unsigned long long>(r.robustness.retries),
-              static_cast<unsigned long long>(r.robustness.replicas_repaired));
+              r.summary.mean_comm_wan_s, r.failed_accesses, n("ibp.timeouts"),
+              n("lors.failovers"), n("lors.retries"), n("lors.replicas_repaired"));
 }
 
 }  // namespace

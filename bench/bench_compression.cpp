@@ -259,9 +259,10 @@ DemandCopies measure_demand_copies(bool smoke) {
     if (!ok) throw std::runtime_error("demand scenario fetch failed");
   };
   fetch();
-  result.cold_copied_bytes = agent.stats().payload_copy_bytes;
+  result.cold_copied_bytes = agent.metrics().payload_copy_bytes.value();
   fetch();
-  result.warm_copied_bytes = agent.stats().payload_copy_bytes - result.cold_copied_bytes;
+  result.warm_copied_bytes =
+      agent.metrics().payload_copy_bytes.value() - result.cold_copied_bytes;
   return result;
 }
 

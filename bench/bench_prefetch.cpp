@@ -115,15 +115,15 @@ Row run_scenario(const Scenario& s, bool smoke) {
   if (!totals.empty())
     row.p99_s = totals[(totals.size() - 1) * 99 / 100];
 
-  const auto& stats = result.agent_stats;
-  row.hit_rate = stats.requests > 0 ? static_cast<double>(stats.hits) /
-                                          static_cast<double>(stats.requests)
-                                    : 0.0;
-  row.predictions = stats.predictions;
-  row.prefetches = stats.prefetches;
-  row.pollution_evictions = stats.pollution_evictions;
-  row.rejected_prefetch = stats.rejected_prefetch;
   const auto& reg = result.obs->metrics;
+  const std::uint64_t requests = reg.counter_total("agent.requests");
+  row.hit_rate = requests > 0 ? static_cast<double>(reg.counter_total("agent.hits")) /
+                                    static_cast<double>(requests)
+                              : 0.0;
+  row.predictions = reg.counter_total("policy.predictions");
+  row.prefetches = reg.counter_total("agent.prefetches");
+  row.pollution_evictions = reg.counter_total("cache.pollution_evictions");
+  row.rejected_prefetch = reg.counter_total("cache.rejected_prefetch");
   row.prefetch_bytes = reg.counter_total("prefetch.bytes");
   row.useful_bytes = reg.counter_total("prefetch.useful_bytes");
   row.wasted_bytes = row.prefetch_bytes - std::min(row.useful_bytes, row.prefetch_bytes);

@@ -21,6 +21,7 @@
 //   --json    machine-readable output (one JSON object) for ci/perf_gate.py
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -48,49 +49,64 @@ Row run(session::Scenario scenario) {
   return row;
 }
 
+/// JSON counter fields as {json key, registry counter name}, each summed
+/// over every instance in the run. Two tables so deadline_misses keeps its
+/// place between them in the output.
+struct CounterField {
+  const char* key;
+  const char* counter;
+};
+constexpr CounterField kOverloadFields[] = {
+    {"demand_shed", "agent.demand_shed"},
+    {"shed_retries", "session.shed_retries"},
+    {"downgrades", "agent.downgrades"},
+    {"upgrades", "agent.upgrades"},
+    {"degrade_lod", "agent.degrade_lod"},
+    {"hot_reports", "agent.hot_reports"},
+    {"augments", "server.augments"},
+    {"failovers", "lors.failovers"},
+    {"corruption_detected", "lors.corruption_detected"},
+};
+constexpr CounterField kLodSiteFields[] = {
+    {"lod_coarse_serves", "agent.lod_coarse_serves"},
+    {"lod_refinements", "agent.lod_refinements"},
+    {"lod_refined", "agent.lod_refined"},
+    {"restaged", "agent.restaged"},
+    {"restage_coalesced", "agent.restage_coalesced"},
+    {"site_hits", "agent.site_hits"},
+    {"site_adopted", "agent.site_adopted"},
+    {"stage_wan_bytes", "agent.stage_wan_bytes"},
+    {"site_restage_leaders", "site.restage_leaders"},
+    {"site_restage_keys", "site.restage_keys"},
+};
+
+unsigned long long total(const session::ScenarioResult& r, const char* counter) {
+  return static_cast<unsigned long long>(r.obs->metrics.counter_total(counter));
+}
+
+void print_counters(const session::ScenarioResult& r,
+                    std::span<const CounterField> fields) {
+  for (const CounterField& f : fields) {
+    std::printf("\"%s\":%llu,", f.key, total(r, f.counter));
+  }
+}
+
 void print_json(const std::vector<Row>& rows, bool smoke) {
   std::printf("{\"bench\":\"scenarios\",\"mode\":\"%s\",\"results\":[",
               smoke ? "smoke" : "full");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const session::ScenarioResult& r = rows[i].r;
-    const auto& rb = r.robustness;
     std::printf(
         "%s{\"name\":\"%s\",\"clients\":%zu,\"accesses\":%zu,\"failed\":%zu,"
         "\"min_delivered\":%zu,\"mean_total_s\":%.6f,\"p99_worst_s\":%.6f,"
-        "\"p99_mean_s\":%.6f,\"slo_s\":%.3f,\"shed_fraction\":%.4f,"
-        "\"demand_shed\":%llu,\"shed_retries\":%llu,\"downgrades\":%llu,"
-        "\"upgrades\":%llu,\"degrade_lod\":%llu,\"hot_reports\":%llu,"
-        "\"augments\":%llu,\"failovers\":%llu,\"corruption_detected\":%llu,"
-        "\"deadline_misses\":%zu,\"lod_coarse_serves\":%llu,"
-        "\"lod_refinements\":%llu,\"lod_refined\":%llu,"
-        "\"restaged\":%llu,\"restage_coalesced\":%llu,\"site_hits\":%llu,"
-        "\"site_adopted\":%llu,\"stage_wan_bytes\":%llu,"
-        "\"site_restage_leaders\":%llu,\"site_restage_keys\":%llu,"
-        "\"virtual_duration_s\":%.3f}",
+        "\"p99_mean_s\":%.6f,\"slo_s\":%.3f,\"shed_fraction\":%.4f,",
         i == 0 ? "" : ",", r.name.c_str(), r.clients.size(), r.total_accesses,
         r.failed_accesses, r.min_client_delivered, r.mean_total_s, r.p99_worst_s,
-        r.p99_mean_s, rows[i].slo_s, r.shed_fraction,
-        static_cast<unsigned long long>(rb.demand_shed),
-        static_cast<unsigned long long>(rb.shed_retries),
-        static_cast<unsigned long long>(rb.downgrades),
-        static_cast<unsigned long long>(rb.upgrades),
-        static_cast<unsigned long long>(rb.degrade_lod),
-        static_cast<unsigned long long>(rb.hot_reports),
-        static_cast<unsigned long long>(rb.augments),
-        static_cast<unsigned long long>(rb.failovers),
-        static_cast<unsigned long long>(rb.corruption_detected),
-        rows[i].deadline_misses,
-        static_cast<unsigned long long>(rb.lod_coarse_serves),
-        static_cast<unsigned long long>(rb.lod_refinements),
-        static_cast<unsigned long long>(rb.lod_refined),
-        static_cast<unsigned long long>(rb.restaged),
-        static_cast<unsigned long long>(rb.restage_coalesced),
-        static_cast<unsigned long long>(rb.site_hits),
-        static_cast<unsigned long long>(rb.site_adopted),
-        static_cast<unsigned long long>(rb.stage_wan_bytes),
-        static_cast<unsigned long long>(rb.site_restage_leaders),
-        static_cast<unsigned long long>(rb.site_restage_keys),
-        to_seconds(r.duration));
+        r.p99_mean_s, rows[i].slo_s, r.shed_fraction);
+    print_counters(r, kOverloadFields);
+    std::printf("\"deadline_misses\":%zu,", rows[i].deadline_misses);
+    print_counters(r, kLodSiteFields);
+    std::printf("\"virtual_duration_s\":%.3f}", to_seconds(r.duration));
   }
   std::printf("]}\n");
 }
@@ -139,11 +155,9 @@ int main(int argc, char** argv) {
         "%-26s %8zu %9zu %7zu %10.3f %10.3f %10.3f %7zu %7llu %7llu %7llu %7llu %7llu\n",
         r.name.c_str(), r.clients.size(), r.total_accesses, r.failed_accesses,
         r.mean_total_s, r.p99_worst_s, r.p99_mean_s, row.deadline_misses,
-        static_cast<unsigned long long>(r.robustness.demand_shed),
-        static_cast<unsigned long long>(r.robustness.shed_retries),
-        static_cast<unsigned long long>(r.robustness.degrade_lod),
-        static_cast<unsigned long long>(r.robustness.lod_coarse_serves),
-        static_cast<unsigned long long>(r.robustness.lod_refined));
+        total(r, "agent.demand_shed"), total(r, "session.shed_retries"),
+        total(r, "agent.degrade_lod"), total(r, "agent.lod_coarse_serves"),
+        total(r, "agent.lod_refined"));
   }
   return 0;
 }

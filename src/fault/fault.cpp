@@ -14,17 +14,6 @@ constexpr SimDuration kDefaultDataTimeout = 20 * kSecond;
 
 }  // namespace
 
-const FaultStats& FaultInjector::stats() const {
-  stats_view_.crashes = metrics_.crashes.value();
-  stats_view_.restarts = metrics_.restarts.value();
-  stats_view_.links_cut = metrics_.links_cut.value();
-  stats_view_.links_restored = metrics_.links_restored.value();
-  stats_view_.disks_degraded = metrics_.disks_degraded.value();
-  stats_view_.requests_dropped = metrics_.requests_dropped.value();
-  stats_view_.bits_flipped = metrics_.bits_flipped.value();
-  return stats_view_;
-}
-
 void FaultInjector::arm(const FaultPlan& plan) {
   rng_ = Rng(plan.seed);
   drops_ = plan.drops;

@@ -80,18 +80,20 @@ struct FaultPlan {
   std::vector<CorruptWindow> corruptions;
 };
 
-struct FaultStats {
-  std::uint64_t crashes = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t links_cut = 0;
-  std::uint64_t links_restored = 0;
-  std::uint64_t disks_degraded = 0;
-  std::uint64_t requests_dropped = 0;
-  std::uint64_t bits_flipped = 0;
-};
-
 class FaultInjector {
  public:
+  /// What the injector actually did, declared here and nowhere else: each
+  /// handle is bound to the registry metric `fault.<field>`.
+  struct Metrics {
+    obs::Counter& crashes;
+    obs::Counter& restarts;
+    obs::Counter& links_cut;
+    obs::Counter& links_restored;
+    obs::Counter& disks_degraded;
+    obs::Counter& requests_dropped;
+    obs::Counter& bits_flipped;
+  };
+
   FaultInjector(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fabric,
                 obs::Context* obs = nullptr)
       : sim_(sim),
@@ -118,20 +120,9 @@ class FaultInjector {
   /// caller forever, which no test should ever want).
   void arm(const FaultPlan& plan);
 
-  /// Compatibility view over the obs registry counters.
-  [[nodiscard]] const FaultStats& stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
  private:
-  struct Metrics {
-    obs::Counter& crashes;
-    obs::Counter& restarts;
-    obs::Counter& links_cut;
-    obs::Counter& links_restored;
-    obs::Counter& disks_degraded;
-    obs::Counter& requests_dropped;
-    obs::Counter& bits_flipped;
-  };
-
   [[nodiscard]] bool in_drop_window(const std::string& depot);
   void maybe_corrupt(const std::string& depot, Bytes& data);
 
@@ -144,7 +135,6 @@ class FaultInjector {
   Rng rng_{0xfa117};
   std::vector<DropWindow> drops_;
   std::vector<CorruptWindow> corruptions_;
-  mutable FaultStats stats_view_;
 };
 
 }  // namespace lon::fault

@@ -38,6 +38,15 @@ struct Candidate {
 
 class Directory {
  public:
+  /// The directory's counters, declared here and nowhere else: each handle
+  /// is bound to the registry metric `lbone.<field>`.
+  struct Metrics {
+    obs::Counter& queries;
+    obs::Counter& sweeps;        ///< health-probe sweeps run
+    obs::Counter& marked_dead;   ///< alive -> dead flips
+    obs::Counter& marked_alive;  ///< dead -> alive flips
+  };
+
   Directory(sim::Network& net, ibp::Fabric& fabric, obs::Context* obs = nullptr)
       : net_(net),
         fabric_(fabric),
@@ -77,25 +86,12 @@ class Directory {
   void start_health_probes(SimDuration interval);
   void stop_health_probes();
 
-  struct ProbeStats {
-    std::uint64_t sweeps = 0;
-    std::uint64_t marked_dead = 0;   ///< alive -> dead flips
-    std::uint64_t marked_alive = 0;  ///< dead -> alive flips
-  };
-  /// Compatibility view over the obs registry counters.
-  [[nodiscard]] const ProbeStats& probe_stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
  private:
   struct Record {
     std::string name;
     bool alive = true;
-  };
-
-  struct Metrics {
-    obs::Counter& queries;
-    obs::Counter& sweeps;
-    obs::Counter& marked_dead;
-    obs::Counter& marked_alive;
   };
 
   void probe_sweep();
@@ -108,7 +104,6 @@ class Directory {
   std::vector<Record> records_;
   SimDuration probe_interval_ = 0;  ///< 0 = probes off
   std::optional<sim::TimerId> probe_timer_;
-  mutable ProbeStats probe_stats_view_;
 };
 
 }  // namespace lon::lbone

@@ -20,16 +20,6 @@ SimDuration RetryPolicy::backoff_for(int round, Rng& rng) const {
   return std::max<SimDuration>(1, static_cast<SimDuration>(backoff));
 }
 
-const LorsStats& Lors::stats() const {
-  stats_view_.retries = metrics_.retries.value();
-  stats_view_.failovers = metrics_.failovers.value();
-  stats_view_.corruption_detected = metrics_.corruption_detected.value();
-  stats_view_.repairs_run = metrics_.repairs_run.value();
-  stats_view_.replicas_repaired = metrics_.replicas_repaired.value();
-  stats_view_.replicas_lost = metrics_.replicas_lost.value();
-  return stats_view_;
-}
-
 const char* to_string(LorsStatus status) {
   switch (status) {
     case LorsStatus::kOk:

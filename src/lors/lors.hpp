@@ -174,19 +174,20 @@ struct RepairResult {
   std::size_t extents_dark = 0;
 };
 
-/// Cumulative robustness counters across every operation run through one
-/// Lors instance (the session-level self-healing story).
-struct LorsStats {
-  std::uint64_t retries = 0;             ///< extra download rounds
-  std::uint64_t failovers = 0;           ///< replica failovers within a round
-  std::uint64_t corruption_detected = 0; ///< checksum mismatches caught
-  std::uint64_t repairs_run = 0;         ///< repair_async invocations
-  std::uint64_t replicas_repaired = 0;   ///< replicas re-created by repair
-  std::uint64_t replicas_lost = 0;       ///< dead replicas discovered by repair
-};
-
 class Lors {
  public:
+  /// Cumulative robustness counters across every operation run through this
+  /// instance, declared here and nowhere else: each handle is bound to the
+  /// registry metric `lors.<field>`.
+  struct Metrics {
+    obs::Counter& retries;              ///< extra download rounds
+    obs::Counter& failovers;            ///< replica failovers within a round
+    obs::Counter& corruption_detected;  ///< checksum mismatches caught
+    obs::Counter& repairs_run;          ///< repair_async invocations
+    obs::Counter& replicas_repaired;    ///< replicas re-created by repair
+    obs::Counter& replicas_lost;        ///< dead replicas discovered by repair
+  };
+
   /// `seed` drives retry-backoff jitter (and nothing else), so runs are
   /// replayable bit-for-bit.
   Lors(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fabric,
@@ -247,20 +248,9 @@ class Lors {
   void repair_async(sim::NodeId client, const exnode::ExNode& node,
                     const RepairOptions& options, RepairCallback on_done);
 
-  /// Robustness counters, read back out of the obs registry (the single
-  /// source of truth; this struct is a compatibility view).
-  [[nodiscard]] const LorsStats& stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
  private:
-  struct Metrics {
-    obs::Counter& retries;
-    obs::Counter& failovers;
-    obs::Counter& corruption_detected;
-    obs::Counter& repairs_run;
-    obs::Counter& replicas_repaired;
-    obs::Counter& replicas_lost;
-  };
-
   sim::Simulator& sim_;
   sim::Network& net_;
   ibp::Fabric& fabric_;
@@ -268,7 +258,6 @@ class Lors {
   obs::Context& obs_;
   obs::Scope scope_;
   Metrics metrics_;
-  mutable LorsStats stats_view_;
 };
 
 }  // namespace lon::lors

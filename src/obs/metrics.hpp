@@ -6,8 +6,14 @@
 // pipeline instrumentation is what made WAN visualization tunable in the
 // first place (Bethel et al., PAPERS.md). Instead of every layer keeping its
 // own ad-hoc stats struct that each bench re-aggregates by hand, all layers
-// increment metrics in one registry; the legacy stats() structs are thin
-// views over it and the benches dump it as flat JSONL.
+// increment metrics in one registry, and the benches dump it as flat JSONL.
+//
+// Each counter is declared once: in its component's `Metrics` struct of
+// Counter& handles, bound by the constructor to `scope_.counter("name")`.
+// To add one, add the field and its scope_.counter("layer.name") initializer
+// and increment it; nothing else mirrors it. Read one instance through the
+// handle (`agent.metrics().hits.value()`) and a run by name
+// (`registry.counter_total("agent.hits")`, summed over every instance).
 //
 // Metrics are identified by (name, labels). `name` is a dotted path
 // ("lors.retries"); `labels` is a pre-rendered "key=value,key=value" string.

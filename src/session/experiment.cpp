@@ -1,8 +1,5 @@
 #include "session/experiment.hpp"
 
-#include <stdexcept>
-
-#include "session/scenario.hpp"
 #include "session/system.hpp"
 #include "util/log.hpp"
 
@@ -75,8 +72,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   ExperimentResult result;
   result.accesses = client.accesses();
   result.summary = summarize(result.accesses);
-  result.agent_stats = sys.agent->stats();
-  result.staged_at_end = sys.agent->stats().staged;
+  result.staged_at_end = sys.agent->metrics().staged.value();
   result.staging_complete = sys.agent->staging_complete();
   result.script_duration = script_end - script_start;
   result.db_compressed_bytes = static_cast<double>(published.compressed_bytes);
@@ -86,8 +82,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           ? result.db_uncompressed_bytes / result.db_compressed_bytes
           : 0.0;
   result.failed_accesses = failed_accesses;
-  result.fault_stats = injector.stats();
-  result.robustness = collect_robustness(sys.obs->metrics);
   obs::Registry& metrics = sys.obs->metrics;
   metrics.counter("sim.events_executed", "component=simnet").inc(sim.executed());
   metrics.counter("sim.events_scheduled", "component=simnet").inc(sim.scheduled());
@@ -98,51 +92,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   metrics.counter("net.realloc_flows_touched", "component=simnet")
       .inc(sys.net.realloc_flows_touched());
   result.obs = std::move(sys.obs);
-  return result;
-}
-
-MultiClientResult run_multi_client(const MultiClientConfig& mc) {
-  if (mc.clients < 1) {
-    throw std::invalid_argument("run_multi_client: clients < 1");
-  }
-  // A multi-client run is the simplest scenario: N standard seeded walks,
-  // evenly staggered. Everything below delegates to the scenario driver.
-  Scenario scenario;
-  scenario.name = "multi-client";
-  scenario.base = mc.base;
-  const lightfield::SphericalLattice lattice(mc.base.lattice);
-  for (int i = 0; i < mc.clients; ++i) {
-    ScenarioClient sc;
-    sc.script = CursorScript::standard(
-        lattice, mc.base.dwell, mc.accesses_per_client,
-        mc.client_seed + static_cast<std::uint64_t>(i));
-    sc.start = static_cast<SimDuration>(i) * mc.start_stagger;
-    scenario.clients.push_back(std::move(sc));
-  }
-  ScenarioResult run = run_scenario(scenario);
-
-  MultiClientResult result;
-  for (auto& pc : run.clients) {
-    MultiClientResult::PerClient out;
-    out.accesses = std::move(pc.accesses);
-    out.summary = pc.summary;
-    out.failed_accesses = pc.failed_accesses;
-    out.p50_total_s = pc.p50_total_s;
-    out.p99_total_s = pc.p99_total_s;
-    result.clients.push_back(std::move(out));
-  }
-  result.agent_stats = run.agent_stats;
-  result.script_duration = run.duration;
-  result.failed_accesses = run.failed_accesses;
-  result.min_client_delivered = run.min_client_delivered;
-  result.staging_complete = run.staging_complete;
-  result.fault_stats = run.fault_stats;
-  result.sim_events = run.sim_events;
-  result.sim_scheduled = run.sim_scheduled;
-  result.net_reallocs = run.net_reallocs;
-  result.net_realloc_flows_touched = run.net_realloc_flows_touched;
-  result.wall_s = run.wall_s;
-  result.obs = std::move(run.obs);
   return result;
 }
 

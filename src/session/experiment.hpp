@@ -144,14 +144,12 @@ struct ExperimentConfig {
   bool degrade = false;                    ///< enable the degradation ladder
   int degrade_after_misses = 3;            ///< deadline misses per rung down
   int upgrade_after_hits = 8;              ///< clean deliveries per rung up
-  /// > 0: publish a coarse tier at this view resolution next to the full
-  /// database (lightfield::MultiDatabase) for the kCoarseLod rung.
-  std::size_t lod_resolution = 0;
 
   // Continuous LOD streaming. Coarse tiers of the scene published next to
   // the full database (each in its own DVS namespace); with lod_streaming
   // the agent serves the finest tier that fits the interactivity deadline
-  // and refines to full resolution in the background.
+  // and refines to full resolution in the background. The kCoarseLod rung
+  // of the degradation ladder serves the coarsest of these tiers.
   std::vector<std::size_t> lod_resolutions;  ///< coarse tier view resolutions
   bool lod_streaming = false;  ///< per-access LOD pick by the policy engine
   bool lod_refine = true;      ///< background upgrade after a coarse serve
@@ -171,7 +169,6 @@ struct ExperimentConfig {
 struct ExperimentResult {
   std::vector<streaming::AccessRecord> accesses;
   AccessSummary summary;
-  streaming::ClientAgent::Stats agent_stats;
   std::size_t staged_at_end = 0;       ///< view sets prestaged when the run ended
   bool staging_complete = false;
   SimTime script_duration = 0;         ///< virtual time from first to last access
@@ -179,11 +176,10 @@ struct ExperimentResult {
   double db_uncompressed_bytes = 0;
   double compression_ratio = 0;
   std::size_t failed_accesses = 0;     ///< view requests that never delivered
-  RobustnessSummary robustness;        ///< self-healing counters for the run
-  fault::FaultStats fault_stats;       ///< what the injector actually did
   /// The run's private observability context: every component reported into
-  /// `obs->metrics`, and `obs->trace` (enabled for experiments) holds the
-  /// full span tree — export it with write_chrome_trace / write_jsonl.
+  /// `obs->metrics` (read a counter with counter_total("agent.hits")), and
+  /// `obs->trace` (enabled for experiments) holds the full span tree —
+  /// export it with write_chrome_trace / write_jsonl.
   std::shared_ptr<obs::Context> obs;
 };
 
@@ -191,55 +187,5 @@ struct ExperimentResult {
 /// orchestrated cursor script (each movement waits for the view it needs,
 /// then dwells), and returns the access trace.
 ExperimentResult run_experiment(const ExperimentConfig& config);
-
-// --- Multi-client scaling -----------------------------------------------------
-//
-// N concurrent clients on the same LAN share one client agent — and with it
-// the view-set cache, the obs registry, the LAN prestage depots and the
-// depot/WAN capacity. Each client replays its own cursor script; requests
-// interleave in virtual time, so the driver exercises exactly the contention
-// the scalability benches measure.
-
-struct MultiClientConfig {
-  ExperimentConfig base;              ///< topology, case, faults, client knobs
-  int clients = 8;
-  std::size_t accesses_per_client = 25;
-  /// Per-client cursor-script seed base (client i uses client_seed + i).
-  std::uint64_t client_seed = 100;
-  /// Stagger between client starts so the scripts interleave rather than
-  /// moving in lockstep.
-  SimDuration start_stagger = 250 * kMillisecond;
-};
-
-struct MultiClientResult {
-  struct PerClient {
-    std::vector<streaming::AccessRecord> accesses;
-    AccessSummary summary;
-    std::size_t failed_accesses = 0;
-    /// From this client's own obs histogram ("component=client,inst=i").
-    double p50_total_s = 0.0;
-    double p99_total_s = 0.0;
-  };
-  std::vector<PerClient> clients;
-  streaming::ClientAgent::Stats agent_stats;
-  SimTime script_duration = 0;         ///< first start to last completion
-  std::size_t failed_accesses = 0;     ///< summed over clients
-  std::size_t min_client_delivered = 0;  ///< worst-off client's deliveries
-  bool staging_complete = false;
-  fault::FaultStats fault_stats;
-
-  // Simulator-core cost counters (deterministic; see ScenarioResult).
-  std::uint64_t sim_events = 0;
-  std::uint64_t sim_scheduled = 0;
-  std::uint64_t net_reallocs = 0;
-  std::uint64_t net_realloc_flows_touched = 0;
-  double wall_s = 0.0;  ///< host wall-clock of the run — NOT deterministic
-
-  std::shared_ptr<obs::Context> obs;
-};
-
-/// Builds one system with `clients` client machines, publishes the union of
-/// the per-client scripts' view sets, and drives every script to completion.
-MultiClientResult run_multi_client(const MultiClientConfig& config);
 
 }  // namespace lon::session

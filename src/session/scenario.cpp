@@ -116,14 +116,12 @@ ScenarioResult run_scenario(const Scenario& scenario) {
                             ? latency_sum / static_cast<double>(result.total_accesses)
                             : 0.0;
   result.p99_mean_s = p99_sum / static_cast<double>(n_clients);
-  result.agent_stats = sys.agent_stats();
+  obs::Registry& metrics = sys.obs->metrics;
+  const std::uint64_t requests = metrics.counter_total("agent.requests");
   result.shed_fraction =
-      result.agent_stats.requests > 0
-          ? static_cast<double>(result.agent_stats.demand_shed) /
-                static_cast<double>(result.agent_stats.requests)
-          : 0.0;
-  result.robustness = collect_robustness(sys.obs->metrics);
-  result.fault_stats = injector.stats();
+      requests > 0 ? static_cast<double>(metrics.counter_total("agent.demand_shed")) /
+                         static_cast<double>(requests)
+                   : 0.0;
   result.duration = script_end - script_start;
   result.staging_complete = sys.staging_complete();
 
@@ -136,7 +134,6 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   result.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                 wall_start)
                       .count();
-  obs::Registry& metrics = sys.obs->metrics;
   metrics.counter("sim.events_executed", "component=simnet").inc(result.sim_events);
   metrics.counter("sim.events_scheduled", "component=simnet").inc(result.sim_scheduled);
   metrics.counter("sim.events_cancelled", "component=simnet").inc(sim.cancelled());
@@ -176,6 +173,21 @@ void filler_content(ExperimentConfig& base) {
 
 }  // namespace
 
+Scenario staggered_walks(const ExperimentConfig& base, int clients, std::size_t accesses) {
+  Scenario s;
+  s.name = "multi-client";
+  s.base = base;
+  const lightfield::SphericalLattice lattice(base.lattice);
+  for (int i = 0; i < clients; ++i) {
+    ScenarioClient sc;
+    sc.script = CursorScript::standard(lattice, base.dwell, accesses,
+                                       100 + static_cast<std::uint64_t>(i));
+    sc.start = static_cast<SimDuration>(i) * (250 * kMillisecond);
+    s.clients.push_back(std::move(sc));
+  }
+  return s;
+}
+
 Scenario flash_crowd(int clients, bool admission) {
   Scenario s;
   s.name = admission ? "flash_crowd/admission" : "flash_crowd/no_admission";
@@ -207,7 +219,7 @@ Scenario flash_crowd(int clients, bool admission) {
     // The full ladder: LAN-only -> coarse tier -> demand-only, plus hot
     // reporting so the server agent fans busy view sets onto the LAN depots.
     s.base.degrade = true;
-    s.base.lod_resolution = 100;
+    s.base.lod_resolutions = {100};
     s.base.hot_report_threshold = 4;
     s.base.server_agent = true;
     s.base.augment_threshold = 2;

@@ -3,11 +3,11 @@
 // A Scenario is one named, fully-scripted run: an ExperimentConfig plus a
 // per-client cursor script and start offset. run_scenario assembles the
 // session::System, publishes the database, and drives every script to
-// completion, exactly like run_multi_client — which is now a thin wrapper
-// over it. The canned builders below compose the robustness machinery of
-// the earlier PRs (faults + retries + repair, admission + degradation +
-// augmentation, staging leases, site caching) into deterministic stress
-// runs whose virtual-time metrics ci/perf_gate.py hard-fails on.
+// completion; it is the one entry point for multi-client runs. The canned
+// builders below range from plain staggered walks (the scalability bench)
+// to compositions of the robustness machinery (faults + retries + repair,
+// admission + degradation + augmentation, staging leases, site caching)
+// whose virtual-time metrics ci/perf_gate.py hard-fails on.
 #pragma once
 
 #include <memory>
@@ -59,14 +59,12 @@ struct ScenarioResult {
   double mean_total_s = 0.0;
   double p99_worst_s = 0.0;  ///< worst per-client p99
   double p99_mean_s = 0.0;   ///< mean of per-client p99s
-  /// Demand requests the agent refused over all it saw — the shed rate.
+  /// Demand requests the agents refused over all they saw — the shed rate
+  /// (agent.demand_shed / agent.requests).
   double shed_fraction = 0.0;
   /// Starvation check: the worst-off client's delivered count.
   std::size_t min_client_delivered = 0;
 
-  streaming::ClientAgent::Stats agent_stats;
-  RobustnessSummary robustness;
-  fault::FaultStats fault_stats;
   SimTime duration = 0;  ///< first client start to last completion
   bool staging_complete = false;
 
@@ -79,6 +77,8 @@ struct ScenarioResult {
   std::uint64_t net_realloc_flows_touched = 0;  ///< flows re-rated, summed
   double wall_s = 0.0;  ///< host wall-clock of the run — NOT deterministic
 
+  /// Every component's metrics for the run. Counters sum over instances by
+  /// name: obs->metrics.counter_total("agent.hits") is the site-wide total.
   std::shared_ptr<obs::Context> obs;
 };
 
@@ -86,11 +86,19 @@ struct ScenarioResult {
 /// same scenario, same result, bit for bit.
 ScenarioResult run_scenario(const Scenario& scenario);
 
-// --- Canned adversarial scenarios ---------------------------------------------
+// --- Canned scenarios ----------------------------------------------------------
 //
-// Each composes the machinery of several PRs; bench_scenarios reports them
-// and ci/perf_gate.py enforces their SLOs. Callers may tweak the returned
-// Scenario (the chaos-soak test flips on real content + decoding).
+// Callers may tweak the returned Scenario (the chaos-soak test flips on real
+// content + decoding).
+
+/// `clients` viewers on `base`'s topology, each replaying its own standard
+/// seeded walk of `accesses` steps (client i uses seed 100 + i), started
+/// 250 ms apart so the walks interleave rather than move in lockstep. The
+/// scalability bench's workload.
+Scenario staggered_walks(const ExperimentConfig& base, int clients, std::size_t accesses);
+
+// The adversarial ones below each compose the machinery of several PRs;
+// bench_scenarios reports them and ci/perf_gate.py enforces their SLOs.
 
 /// Flash crowd: `clients` viewers pile onto one freshly published object
 /// over the WAN within a couple of seconds. With `admission` the agent

@@ -122,10 +122,8 @@ PublishResult& System::publish(const ExperimentConfig& config,
 
 void System::ensure_lod(const ExperimentConfig& config) {
   if (!lod_tiers.empty()) return;
-  // Union of the streaming ladder and the legacy single-tier spelling,
-  // finest first, duplicates and non-coarse resolutions dropped.
+  // Finest first, duplicates and non-coarse resolutions dropped.
   std::vector<std::size_t> resolutions = config.lod_resolutions;
-  if (config.lod_resolution > 0) resolutions.push_back(config.lod_resolution);
   std::sort(resolutions.begin(), resolutions.end(), std::greater<std::size_t>());
   resolutions.erase(std::unique(resolutions.begin(), resolutions.end()),
                     resolutions.end());
@@ -234,50 +232,6 @@ bool System::staging_complete() const {
     if (!a->staging_complete()) return false;
   }
   return true;
-}
-
-streaming::ClientAgent::Stats System::agent_stats() const {
-  streaming::ClientAgent::Stats total;
-  for (const auto& a : agents) {
-    const auto& s = a->stats();
-    total.requests += s.requests;
-    total.hits += s.hits;
-    total.lan_accesses += s.lan_accesses;
-    total.wan_accesses += s.wan_accesses;
-    total.prefetches += s.prefetches;
-    total.staged += s.staged;
-    total.staging_failures += s.staging_failures;
-    total.refetches += s.refetches;
-    total.invalidations += s.invalidations;
-    total.restaged += s.restaged;
-    total.lease_refreshes += s.lease_refreshes;
-    total.pipelined += s.pipelined;
-    total.predictions += s.predictions;
-    total.prefetch_useful += s.prefetch_useful;
-    total.pipeline_aborts += s.pipeline_aborts;
-    total.pollution_evictions += s.pollution_evictions;
-    total.rejected_prefetch += s.rejected_prefetch;
-    total.demand_shed += s.demand_shed;
-    total.shed_queue_full += s.shed_queue_full;
-    total.shed_no_tokens += s.shed_no_tokens;
-    total.shed_deadline += s.shed_deadline;
-    total.downgrades += s.downgrades;
-    total.upgrades += s.upgrades;
-    total.degrade_lan_only += s.degrade_lan_only;
-    total.degrade_lod += s.degrade_lod;
-    total.degrade_demand_only += s.degrade_demand_only;
-    total.hot_reports += s.hot_reports;
-    total.lod_coarse_serves += s.lod_coarse_serves;
-    total.lod_refinements += s.lod_refinements;
-    total.lod_refined += s.lod_refined;
-    total.payload_copy_bytes += s.payload_copy_bytes;
-    total.restage_coalesced += s.restage_coalesced;
-    total.site_hits += s.site_hits;
-    total.site_adopted += s.site_adopted;
-    total.stage_wan_bytes += s.stage_wan_bytes;
-    total.demand_wan_active += s.demand_wan_active;
-  }
-  return total;
 }
 
 void System::make_server_agent(const ExperimentConfig& config) {

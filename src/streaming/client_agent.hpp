@@ -197,46 +197,56 @@ struct ClientAgentConfig {
 
 class ClientAgent {
  public:
-  struct Stats {
-    std::uint64_t requests = 0;        ///< demand requests from clients
-    std::uint64_t hits = 0;            ///< served from the agent cache
-    std::uint64_t lan_accesses = 0;    ///< served from a LAN depot
-    std::uint64_t wan_accesses = 0;    ///< served across the WAN
-    std::uint64_t prefetches = 0;      ///< prefetch fetches issued
-    std::uint64_t staged = 0;          ///< view sets fully prestaged
-    std::uint64_t staging_failures = 0;
-    std::uint64_t refetches = 0;       ///< failed downloads retried end-to-end
-    std::uint64_t invalidations = 0;   ///< exNodes evicted as stale
-    std::uint64_t restaged = 0;        ///< view sets queued for staging again
-    std::uint64_t lease_refreshes = 0; ///< staged replicas whose lease was renewed
-    std::uint64_t pipelined = 0;       ///< deliveries pre-decoded by the pipeline
-    std::uint64_t predictions = 0;     ///< targets proposed by the prefetch policy
-    std::uint64_t prefetch_useful = 0; ///< prefetches a demand request benefited from
-    std::uint64_t pipeline_aborts = 0; ///< abandoned download attempts drained
-    std::uint64_t pollution_evictions = 0;  ///< unused prefetches evicted
-    std::uint64_t rejected_prefetch = 0;    ///< prefetch inserts refused admission
-    std::uint64_t demand_shed = 0;       ///< demand requests answered with kShed
-    std::uint64_t shed_queue_full = 0;   ///< ... because the demand queue was full
-    std::uint64_t shed_no_tokens = 0;    ///< ... because the client's bucket was dry
-    std::uint64_t shed_deadline = 0;     ///< ... because completion was predicted late
-    std::uint64_t downgrades = 0;        ///< ladder steps down
-    std::uint64_t upgrades = 0;          ///< ladder steps back up
-    std::uint64_t degrade_lan_only = 0;  ///< WAN prefetch targets skipped (kLanOnly)
-    std::uint64_t degrade_lod = 0;       ///< accesses served coarse (kCoarseLod)
-    std::uint64_t degrade_demand_only = 0;  ///< prefetch rounds suppressed
-    std::uint64_t hot_reports = 0;       ///< demand-pressure reports sent to the DVS
-    std::uint64_t lod_coarse_serves = 0; ///< demand deliveries at a coarse tier
-    std::uint64_t lod_refinements = 0;   ///< background full-res upgrades started
-    std::uint64_t lod_refined = 0;       ///< upgrades that swapped full-res bytes in
+  /// The agent's counters, declared here and nowhere else. The constructor
+  /// binds each handle to the registry metric `agent.<field>` (other
+  /// prefixes are noted). Read one agent's value with
+  /// `metrics().hits.value()`, or a whole run's with
+  /// `Registry::counter_total("agent.hits")`.
+  struct Metrics {
+    obs::Counter& requests;             ///< demand requests from clients
+    obs::Counter& hits;                 ///< served from the agent cache
+    obs::Counter& lan_accesses;         ///< served from a LAN depot
+    obs::Counter& wan_accesses;         ///< served across the WAN
+    obs::Counter& prefetches;           ///< prefetch fetches issued
+    obs::Counter& staged;               ///< view sets fully prestaged
+    obs::Counter& staging_failures;
+    obs::Counter& refetches;            ///< failed downloads retried end-to-end
+    obs::Counter& invalidations;        ///< exNodes evicted as stale
+    obs::Counter& restaged;             ///< view sets queued for staging again
+    obs::Counter& lease_refreshes;      ///< staged replicas whose lease was renewed
+    obs::Counter& pipelined;            ///< deliveries pre-decoded by the pipeline
+    obs::Counter& predictions;          ///< policy.predictions: policy targets proposed
+    obs::Counter& prefetch_bytes;       ///< prefetch.bytes
+    obs::Counter& prefetch_useful;      ///< prefetch.useful: prefetches demand used
+    obs::Counter& prefetch_useful_bytes;  ///< prefetch.useful_bytes
+    obs::Counter& pollution_evictions;  ///< cache.pollution_evictions: unused, evicted
+    obs::Counter& rejected_prefetch;    ///< cache.rejected_prefetch: inserts refused
+    obs::Counter& pipeline_aborts;      ///< abandoned download attempts drained
+    obs::Counter& demand_shed;          ///< demand requests answered with kShed
+    obs::Counter& shed_queue_full;      ///< ... because the demand queue was full
+    obs::Counter& shed_no_tokens;       ///< ... because the client's bucket was dry
+    obs::Counter& shed_deadline;        ///< ... because completion was predicted late
+    obs::Counter& downgrades;           ///< ladder steps down
+    obs::Counter& upgrades;             ///< ladder steps back up
+    obs::Counter& degrade_lan_only;     ///< WAN prefetch targets skipped (kLanOnly)
+    obs::Counter& degrade_lod;          ///< accesses served coarse (kCoarseLod)
+    obs::Counter& degrade_demand_only;  ///< prefetch rounds suppressed
+    obs::Counter& hot_reports;          ///< demand-pressure reports sent to the DVS
+    obs::Counter& lod_coarse_serves;    ///< demand deliveries at a coarse tier
+    obs::Counter& lod_refinements;      ///< background full-res upgrades started
+    obs::Counter& lod_refined;          ///< upgrades that swapped full-res bytes in
     /// Payload bytes physically copied on the demand path (network landing
     /// passes plus any decode fallback staging). Warm cache hits add zero;
     /// a cold fetch adds exactly one pass over its compressed payload.
-    std::uint64_t payload_copy_bytes = 0;
-    std::uint64_t restage_coalesced = 0; ///< restages joined to another agent's flight
-    std::uint64_t site_hits = 0;         ///< demand resolves served via the site index
-    std::uint64_t site_adopted = 0;      ///< staging targets adopted from the site index
-    std::uint64_t stage_wan_bytes = 0;   ///< payload bytes this agent staged over the WAN
-    int demand_wan_active = 0;           ///< WAN demand downloads in flight now
+    obs::Counter& payload_copy_bytes;
+    obs::Counter& restage_coalesced;    ///< restages joined to another agent's flight
+    obs::Counter& site_hits;            ///< demand resolves served via the site index
+    obs::Counter& site_adopted;         ///< staging targets adopted from the site index
+    obs::Counter& stage_wan_bytes;      ///< payload bytes this agent staged over the WAN
+    /// WAN demand downloads in flight now. Balance invariant: zero whenever
+    /// the agent is idle — every increment in download() must be matched
+    /// across the shed/retry/coarse completion paths.
+    obs::Gauge& demand_wan_active;
   };
 
   ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fabric,
@@ -326,8 +336,7 @@ class ClientAgent {
   [[nodiscard]] bool is_staged(const lightfield::ViewSetId& id) const {
     return staged_.contains(id);
   }
-  /// Compatibility view over the obs registry counters.
-  [[nodiscard]] const Stats& stats() const;
+  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] const ViewSetCache& cache() const { return cache_; }
   /// Prefetch fetches currently in flight (for budget tests).
   [[nodiscard]] std::size_t prefetch_inflight() const { return prefetch_inflight_; }
@@ -336,10 +345,10 @@ class ClientAgent {
   [[nodiscard]] DegradeLevel degrade_level() const { return level_; }
   /// Demand fetches currently in service (the admission queue depth).
   [[nodiscard]] int demand_inflight() const { return demand_inflight_; }
-  /// WAN demand downloads in flight right now. Balance invariant: zero
-  /// whenever the agent is idle — every increment in download() must be
-  /// matched across the shed/retry/coarse completion paths.
-  [[nodiscard]] int demand_wan_active() const { return demand_wan_active_; }
+  /// WAN demand downloads in flight right now (see Metrics).
+  [[nodiscard]] int demand_wan_active() const {
+    return static_cast<int>(metrics_.demand_wan_active.value());
+  }
 
  private:
   struct Waiter {
@@ -362,48 +371,8 @@ class ClientAgent {
     bool shed_upstream = false;    ///< the generation tier shed this request
     /// The flight resolved through a staged/site copy. On a failed retry the
     /// agent drops that copy exactly once (see the drop_staged plumbing) —
-    /// this is what keeps Stats::restaged from double-counting one incident.
+    /// this is what keeps agent.restaged from double-counting one incident.
     bool from_staged = false;
-  };
-
-  struct Metrics {
-    obs::Counter& requests;
-    obs::Counter& hits;
-    obs::Counter& lan_accesses;
-    obs::Counter& wan_accesses;
-    obs::Counter& prefetches;
-    obs::Counter& staged;
-    obs::Counter& staging_failures;
-    obs::Counter& refetches;
-    obs::Counter& invalidations;
-    obs::Counter& restaged;
-    obs::Counter& lease_refreshes;
-    obs::Counter& pipelined;
-    obs::Counter& predictions;           ///< policy.predictions
-    obs::Counter& prefetch_bytes;        ///< prefetch.bytes
-    obs::Counter& prefetch_useful;       ///< prefetch.useful
-    obs::Counter& prefetch_useful_bytes; ///< prefetch.useful_bytes
-    obs::Counter& pollution_evictions;   ///< cache.pollution_evictions
-    obs::Counter& rejected_prefetch;     ///< cache.rejected_prefetch
-    obs::Counter& pipeline_aborts;       ///< agent.pipeline_aborts
-    obs::Counter& demand_shed;           ///< agent.demand_shed
-    obs::Counter& shed_queue_full;       ///< agent.shed_queue_full
-    obs::Counter& shed_no_tokens;        ///< agent.shed_no_tokens
-    obs::Counter& shed_deadline;         ///< agent.shed_deadline
-    obs::Counter& downgrades;            ///< agent.downgrades
-    obs::Counter& upgrades;              ///< agent.upgrades
-    obs::Counter& degrade_lan_only;      ///< agent.degrade_lan_only
-    obs::Counter& degrade_lod;           ///< agent.degrade_lod
-    obs::Counter& degrade_demand_only;   ///< agent.degrade_demand_only
-    obs::Counter& hot_reports;           ///< agent.hot_reports
-    obs::Counter& lod_coarse_serves;     ///< agent.lod_coarse_serves
-    obs::Counter& lod_refinements;       ///< agent.lod_refinements
-    obs::Counter& lod_refined;           ///< agent.lod_refined
-    obs::Counter& payload_copy_bytes;    ///< agent.payload_copy_bytes
-    obs::Counter& restage_coalesced;     ///< agent.restage_coalesced
-    obs::Counter& site_hits;             ///< agent.site_hits
-    obs::Counter& site_adopted;          ///< agent.site_adopted
-    obs::Counter& stage_wan_bytes;       ///< agent.stage_wan_bytes
   };
 
   /// Starts (or joins) a fetch of `id`; cb may be null for prefetch.
@@ -520,7 +489,6 @@ class ClientAgent {
   std::unordered_set<lightfield::ViewSetId, lightfield::ViewSetIdHash>
       staging_ids_;  ///< view sets with a staging attempt in flight
   std::size_t staging_rr_ = 0;  ///< round-robin over LAN depots
-  int demand_wan_active_ = 0;
   std::optional<sim::TimerId> refresh_timer_;
   std::optional<std::size_t> site_listener_;  ///< token in the site cache
 
@@ -546,8 +514,6 @@ class ClientAgent {
   double payload_bytes_ewma_ = 0.0;  ///< prefetch budget charge estimate
   std::uint64_t synced_pollution_ = 0;  ///< cache counters already mirrored
   std::uint64_t synced_rejected_ = 0;
-
-  mutable Stats stats_view_;
 };
 
 }  // namespace lon::streaming

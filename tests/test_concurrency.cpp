@@ -27,7 +27,7 @@
 #include "lightfield/renderer.hpp"
 #include "lors/lors.hpp"
 #include "obs/metrics.hpp"
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 #include "streaming/cache.hpp"
 #include "streaming/pipeline.hpp"
 #include "util/thread_pool.hpp"
@@ -413,66 +413,70 @@ TEST(BatchedGeneration, RendererRowParallelismDoesNotChangePixels) {
 
 // --- multi-client driver -----------------------------------------------------------
 
-session::MultiClientConfig small_multi_client() {
-  session::MultiClientConfig mc;
-  mc.clients = 3;
-  mc.accesses_per_client = 6;
-  mc.client_seed = 100;
-  mc.base.lattice = tiny_lattice(24);
-  mc.base.which = session::Case::kWanWithLanDepot;
-  mc.base.all_filler = true;
-  mc.base.client.decode = false;
-  mc.base.client.timing = streaming::ClientConfig::Timing::kModeled;
-  mc.base.dwell = 500 * kMillisecond;
-  return mc;
+// Three staggered walks of six steps sharing one agent.
+constexpr int kWalkers = 3;
+constexpr std::size_t kWalkSteps = 6;
+
+session::ExperimentConfig small_multi_client() {
+  session::ExperimentConfig base;
+  base.lattice = tiny_lattice(24);
+  base.which = session::Case::kWanWithLanDepot;
+  base.all_filler = true;
+  base.client.decode = false;
+  base.client.timing = streaming::ClientConfig::Timing::kModeled;
+  base.dwell = 500 * kMillisecond;
+  return base;
+}
+
+session::ScenarioResult run_walkers(const session::ExperimentConfig& base) {
+  return session::run_scenario(session::staggered_walks(base, kWalkers, kWalkSteps));
 }
 
 TEST(MultiClient, ConvergesUnderFaultPlanWithoutDeadlock) {
-  session::MultiClientConfig mc = small_multi_client();
-  mc.base.pool = &ThreadPool::shared();
+  session::ExperimentConfig base = small_multi_client();
+  base.pool = &ThreadPool::shared();
   // A WAN depot and a LAN staging depot both crash mid-run and come back;
   // replicas + retries let every access heal.
-  mc.base.publish_replicas = 2;
-  mc.base.timeouts = {.control = 500 * kMillisecond, .data = 5 * kSecond};
-  mc.base.retry.max_attempts = 4;
-  mc.base.retry.base_backoff = 250 * kMillisecond;
-  mc.base.faults.crashes.push_back(
+  base.publish_replicas = 2;
+  base.timeouts = {.control = 500 * kMillisecond, .data = 5 * kSecond};
+  base.retry.max_attempts = 4;
+  base.retry.base_backoff = 250 * kMillisecond;
+  base.faults.crashes.push_back(
       {.depot = "ca-0", .at = 2 * kSecond, .restart_after = 6 * kSecond});
-  mc.base.faults.crashes.push_back(
+  base.faults.crashes.push_back(
       {.depot = "lan-1", .at = 4 * kSecond, .restart_after = 4 * kSecond});
 
-  const session::MultiClientResult result = session::run_multi_client(mc);
+  const session::ScenarioResult result = run_walkers(base);
 
   ASSERT_EQ(result.clients.size(), 3u);
   EXPECT_EQ(result.failed_accesses, 0u);
-  EXPECT_GT(result.script_duration, 0);
-  EXPECT_GE(result.fault_stats.crashes, 2u);
+  EXPECT_GT(result.duration, 0);
+  EXPECT_GE(result.obs->metrics.counter_total("fault.crashes"), 2u);
   for (const auto& client : result.clients) {
-    // Scripts can emit a couple more records than `accesses_per_client`
+    // Scripts can emit a couple more records than their step count
     // (boundary-crossing steps re-request); they never emit fewer than the
     // script's transitions.
-    EXPECT_GE(client.accesses.size(), mc.accesses_per_client - 1);
+    EXPECT_GE(client.accesses.size(), kWalkSteps - 1);
     EXPECT_EQ(client.failed_accesses, 0u);
     EXPECT_GT(client.p50_total_s, 0.0);
     EXPECT_GE(client.p99_total_s, client.p50_total_s);
   }
-  EXPECT_GT(result.agent_stats.requests, 0u);
+  EXPECT_GT(result.obs->metrics.counter_total("agent.requests"), 0u);
 }
 
 TEST(MultiClient, VirtualTimelineIndependentOfWorkerPool) {
   // The whole point of the ownership rule in DESIGN.md section 10: attaching
   // a pool moves CPU work, not virtual time. Two runs, with and without a
   // pool, must produce identical traces.
-  const session::MultiClientResult without_pool =
-      session::run_multi_client(small_multi_client());
+  const session::ScenarioResult without_pool = run_walkers(small_multi_client());
 
-  session::MultiClientConfig mc = small_multi_client();
+  session::ExperimentConfig base = small_multi_client();
   ThreadPool pool(4);
-  mc.base.pool = &pool;
-  const session::MultiClientResult with_pool = session::run_multi_client(mc);
+  base.pool = &pool;
+  const session::ScenarioResult with_pool = run_walkers(base);
 
   ASSERT_EQ(with_pool.clients.size(), without_pool.clients.size());
-  EXPECT_EQ(with_pool.script_duration, without_pool.script_duration);
+  EXPECT_EQ(with_pool.duration, without_pool.duration);
   for (std::size_t c = 0; c < with_pool.clients.size(); ++c) {
     const auto& a = with_pool.clients[c].accesses;
     const auto& b = without_pool.clients[c].accesses;

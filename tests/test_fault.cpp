@@ -155,7 +155,7 @@ TEST_F(FabricFaultTest, OfflineFailsFastButPartitionTimesOut) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kRefused);
   EXPECT_LT(sim_.now() - t0, 100 * kMillisecond);
-  EXPECT_EQ(fabric_.stats().timeouts, 0u);
+  EXPECT_EQ(fabric_.metrics().timeouts.value(), 0u);
   fabric_.set_offline("d0", false);
 
   // A partitioned depot is silent: the request is lost and only the
@@ -169,8 +169,8 @@ TEST_F(FabricFaultTest, OfflineFailsFastButPartitionTimesOut) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kTimeout);
   EXPECT_EQ(sim_.now(), t1 + 2 * kSecond);
-  EXPECT_EQ(fabric_.stats().timeouts, 1u);
-  EXPECT_EQ(fabric_.stats().requests_lost, 1u);
+  EXPECT_EQ(fabric_.metrics().timeouts.value(), 1u);
+  EXPECT_EQ(fabric_.metrics().requests_lost.value(), 1u);
 }
 
 TEST_F(FabricFaultTest, SetOfflineCancelsInFlightFlows) {
@@ -187,7 +187,7 @@ TEST_F(FabricFaultTest, SetOfflineCancelsInFlightFlows) {
 
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kRefused);
-  EXPECT_GE(fabric_.stats().flows_killed_offline, 1u);
+  EXPECT_GE(fabric_.metrics().flows_killed_offline.value(), 1u);
 }
 
 TEST_F(FabricFaultTest, DroppedRequestsOnlySurfaceAtTheDeadline) {
@@ -203,7 +203,7 @@ TEST_F(FabricFaultTest, DroppedRequestsOnlySurfaceAtTheDeadline) {
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kTimeout);
   EXPECT_EQ(sim_.now(), t0 + kSecond);
-  EXPECT_EQ(fabric_.stats().requests_dropped, 1u);
+  EXPECT_EQ(fabric_.metrics().requests_dropped.value(), 1u);
 }
 
 // --- L-Bone: offline cross-check + health probes ------------------------------
@@ -243,19 +243,19 @@ TEST_F(LboneFaultTest, HealthProbesTrackCrashAndRestart) {
   fabric_.set_offline("d0", true);
   // Manually mark it alive-in-directory to prove the sweep flips it back.
   sim_.run_until(1500 * kMillisecond);
-  EXPECT_EQ(directory_.probe_stats().sweeps, 1u);
-  EXPECT_EQ(directory_.probe_stats().marked_dead, 1u);
+  EXPECT_EQ(directory_.metrics().sweeps.value(), 1u);
+  EXPECT_EQ(directory_.metrics().marked_dead.value(), 1u);
 
   fabric_.set_offline("d0", false);
   sim_.run_until(2500 * kMillisecond);
-  EXPECT_EQ(directory_.probe_stats().marked_alive, 1u);
+  EXPECT_EQ(directory_.metrics().marked_alive.value(), 1u);
   const auto found = directory_.find(client_, {.count = 2});
   EXPECT_EQ(found.size(), 2u);
 
   directory_.stop_health_probes();
-  const auto sweeps = directory_.probe_stats().sweeps;
+  const auto sweeps = directory_.metrics().sweeps.value();
   sim_.run_until(10 * kSecond);
-  EXPECT_EQ(directory_.probe_stats().sweeps, sweeps);  // daemon actually stopped
+  EXPECT_EQ(directory_.metrics().sweeps.value(), sweeps);  // daemon actually stopped
 }
 
 // --- LoRS: checksums, retry, repair -------------------------------------------
@@ -340,7 +340,7 @@ TEST_F(LorsFaultTest, InjectedCorruptionIsAlwaysDetectedNeverDelivered) {
   for (std::size_t i = 0; i < result.data->size(); ++i) {
     EXPECT_EQ((*result.data)[i], 0) << "corrupt byte delivered at offset " << i;
   }
-  EXPECT_GE(lors_.stats().corruption_detected, result.blocks_total);
+  EXPECT_GE(lors_.metrics().corruption_detected.value(), result.blocks_total);
 }
 
 TEST_F(LorsFaultTest, CorruptReplicaFailsOverToACleanOne) {
@@ -374,8 +374,8 @@ TEST_F(LorsFaultTest, RetryRoundsOutlastATransientPartition) {
   EXPECT_EQ(result.status, lors::LorsStatus::kOk);
   EXPECT_EQ(*result.data, data);
   EXPECT_GE(result.retries, 1u);
-  EXPECT_GE(fabric_.stats().timeouts, 1u);
-  EXPECT_GE(fabric_.stats().requests_lost, 1u);
+  EXPECT_GE(fabric_.metrics().timeouts.value(), 1u);
+  EXPECT_GE(fabric_.metrics().requests_lost.value(), 1u);
 }
 
 TEST_F(LorsFaultTest, RepairRestoresFullReplicaCountAfterACrash) {
@@ -467,9 +467,9 @@ TEST_F(LorsFaultTest, InjectorRunsItsPlanOnTheVirtualClock) {
   sim_.run();
   EXPECT_FALSE(fabric_.is_offline("d0"));
   EXPECT_EQ(fabric_.find_depot("d1")->config().disk_bytes_per_sec, rate0);
-  EXPECT_EQ(injector.stats().crashes, 1u);
-  EXPECT_EQ(injector.stats().restarts, 1u);
-  EXPECT_EQ(injector.stats().disks_degraded, 1u);
+  EXPECT_EQ(injector.metrics().crashes.value(), 1u);
+  EXPECT_EQ(injector.metrics().restarts.value(), 1u);
+  EXPECT_EQ(injector.metrics().disks_degraded.value(), 1u);
 }
 
 TEST_F(LorsFaultTest, InjectorDropWindowInstallsDefaultDeadlines) {
@@ -491,7 +491,7 @@ TEST_F(LorsFaultTest, InjectorDropWindowInstallsDefaultDeadlines) {
   sim_.run();
   ASSERT_TRUE(status.has_value());
   EXPECT_EQ(*status, ibp::IbpStatus::kTimeout);
-  EXPECT_GE(injector.stats().requests_dropped, 1u);
+  EXPECT_GE(injector.metrics().requests_dropped.value(), 1u);
 }
 
 // --- chaos soak ---------------------------------------------------------------
@@ -651,17 +651,17 @@ TEST_F(ChaosTest, BrowsingSurvivesCrashesLeaseExpiryAndCorruption) {
   EXPECT_EQ(failed, 0u);
 
   // The scheduled mayhem actually happened.
-  EXPECT_GE(injector.stats().crashes, 1u);
-  EXPECT_GE(injector.stats().restarts, 1u);
-  EXPECT_GE(injector.stats().bits_flipped, 1u);
-  EXPECT_GE(lors_.stats().corruption_detected, 1u);
+  EXPECT_GE(injector.metrics().crashes.value(), 1u);
+  EXPECT_GE(injector.metrics().restarts.value(), 1u);
+  EXPECT_GE(injector.metrics().bits_flipped.value(), 1u);
+  EXPECT_GE(lors_.metrics().corruption_detected.value(), 1u);
   std::uint64_t lan_expired = 0;
   for (const auto& name : lan_depots_) {
     lan_expired += fabric_.find_depot(name)->stats().leases_expired;
   }
   EXPECT_GE(lan_expired, 1u) << "no lease-expiry wave was exercised";
-  EXPECT_GE(agent.stats().invalidations, 1u);
-  EXPECT_GE(agent.stats().lease_refreshes + agent.stats().restaged, 1u);
+  EXPECT_GE(agent.metrics().invalidations.value(), 1u);
+  EXPECT_GE(agent.metrics().lease_refreshes.value() + agent.metrics().restaged.value(), 1u);
 
   // Aftermath: ca-2 dies for good; repair rebuilds full replication for a
   // published view set without it.

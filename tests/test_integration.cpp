@@ -156,9 +156,9 @@ TEST_F(WorldTest, StagingSurvivesLanDepotFailure) {
   agent->start_staging();
   sim_.run();
   // Every view set routed to the dead depot failed; the rest staged fine.
-  EXPECT_GT(agent->stats().staged, 0u);
-  EXPECT_GT(agent->stats().staging_failures, 0u);
-  EXPECT_EQ(agent->stats().staged + agent->stats().staging_failures,
+  EXPECT_GT(agent->metrics().staged.value(), 0u);
+  EXPECT_GT(agent->metrics().staging_failures.value(), 0u);
+  EXPECT_EQ(agent->metrics().staged.value() + agent->metrics().staging_failures.value(),
             source_.lattice().view_set_count());
 }
 
@@ -259,8 +259,8 @@ TEST_F(WorldTest, ConcurrentClientsShareInflightFetch) {
   EXPECT_TRUE(a_ready);
   EXPECT_TRUE(b_ready);
   // Exactly one WAN fetch happened; the second demand joined it.
-  EXPECT_EQ(agent->stats().wan_accesses + agent->stats().hits, 2u);
-  EXPECT_LE(agent->stats().wan_accesses, 2u);
+  EXPECT_EQ(agent->metrics().wan_accesses.value() + agent->metrics().hits.value(), 2u);
+  EXPECT_LE(agent->metrics().wan_accesses.value(), 2u);
   EXPECT_EQ(fabric_.find_depot("ca-0")->stats().bytes_loaded +
                 fabric_.find_depot("ca-1")->stats().bytes_loaded,
             agent->cache().bytes_used());

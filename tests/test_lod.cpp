@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "policy/lod.hpp"
@@ -20,6 +21,12 @@ namespace {
 using lightfield::ViewSetId;
 using streaming::AccessClass;
 using streaming::ViewSetCache;
+
+/// Run-wide total of one counter over every component instance.
+template <typename Result>
+std::uint64_t total(const Result& r, const char* counter) {
+  return r.obs->metrics.counter_total(counter);
+}
 
 // --- (id, lod) cache keying ---------------------------------------------------
 
@@ -136,9 +143,9 @@ TEST(LodStreaming, PdaLinkHoldsEveryAccessInsideTheDeadline) {
   // resolution before the run drains.
   EXPECT_EQ(misses, 0u);
   EXPECT_GT(coarse, 0u);
-  EXPECT_GT(r.robustness.lod_coarse_serves, 0u);
-  EXPECT_GT(r.robustness.lod_refined, 0u);
-  EXPECT_EQ(r.robustness.lod_refined, r.robustness.lod_refinements);
+  EXPECT_GT(total(r, "agent.lod_coarse_serves"), 0u);
+  EXPECT_GT(total(r, "agent.lod_refined"), 0u);
+  EXPECT_EQ(total(r, "agent.lod_refined"), total(r, "agent.lod_refinements"));
 }
 
 TEST(LodStreaming, FullResolutionControlMissesTheDeadline) {
@@ -154,8 +161,8 @@ TEST(LodStreaming, FullResolutionControlMissesTheDeadline) {
     }
   }
   EXPECT_GT(misses, 0u);
-  EXPECT_EQ(r.robustness.lod_coarse_serves, 0u);
-  EXPECT_EQ(r.robustness.lod_refinements, 0u);
+  EXPECT_EQ(total(r, "agent.lod_coarse_serves"), 0u);
+  EXPECT_EQ(total(r, "agent.lod_refinements"), 0u);
 }
 
 TEST(LodStreaming, RevisitAfterRefinementServesFullResolutionBytes) {
@@ -192,8 +199,8 @@ TEST(LodStreaming, PdaRunsAreDeterministic) {
   const session::ScenarioResult b = session::run_scenario(session::pda_link(true));
   EXPECT_EQ(a.mean_total_s, b.mean_total_s);
   EXPECT_EQ(a.p99_worst_s, b.p99_worst_s);
-  EXPECT_EQ(a.robustness.lod_coarse_serves, b.robustness.lod_coarse_serves);
-  EXPECT_EQ(a.robustness.lod_refined, b.robustness.lod_refined);
+  EXPECT_EQ(total(a, "agent.lod_coarse_serves"), total(b, "agent.lod_coarse_serves"));
+  EXPECT_EQ(total(a, "agent.lod_refined"), total(b, "agent.lod_refined"));
   EXPECT_EQ(a.duration, b.duration);
 }
 
@@ -217,13 +224,13 @@ TEST(LodLadder, LadderCoarseServesAreScopedAndLabelled) {
   cfg.degrade_after_misses = 1;
   cfg.upgrade_after_hits = 100;
   cfg.interactivity_deadline = 1;
-  cfg.lod_resolution = 32;
+  cfg.lod_resolutions = {32};
 
   const session::ExperimentResult result = session::run_experiment(cfg);
   EXPECT_EQ(result.failed_accesses, 0u);
-  EXPECT_GT(result.robustness.degrade_lod, 0u);
+  EXPECT_GT(total(result, "agent.degrade_lod"), 0u);
   // Ladder mode does not refine in the background (lod_streaming off).
-  EXPECT_EQ(result.robustness.lod_refinements, 0u);
+  EXPECT_EQ(total(result, "agent.lod_refinements"), 0u);
   std::uint64_t max_coarse_bytes = 0;
   auto min_full_bytes = std::numeric_limits<std::uint64_t>::max();
   std::size_t coarse = 0;
@@ -241,18 +248,32 @@ TEST(LodLadder, LadderCoarseServesAreScopedAndLabelled) {
 
 // --- demand_wan_active balance ------------------------------------------------
 
+/// The agent.demand_wan_active gauge summed over every agent of the run.
+double demand_wan_active(const session::ScenarioResult& r) {
+  double active = 0.0;
+  for (int i = 0;; ++i) {
+    const obs::Gauge* g = r.obs->metrics.find_gauge(
+        "agent.demand_wan_active", "component=agent,inst=" + std::to_string(i));
+    if (g == nullptr) {
+      EXPECT_GT(i, 0) << "the run registered no agent gauge";
+      return active;
+    }
+    active += g->value();
+  }
+}
+
 TEST(LodStreaming, DemandWanCounterBalancesAfterEveryScenario) {
   // The WAN-concurrency gauge must return to zero however a download ends:
   // clean finish, coarse redirect, retry after a failure, or shed. A leak
   // here starves (or floods) the admission path for the rest of the session.
   const session::ScenarioResult lod = session::run_scenario(session::pda_link(true));
-  EXPECT_EQ(lod.agent_stats.demand_wan_active, 0);
+  EXPECT_EQ(demand_wan_active(lod), 0.0);
   const session::ScenarioResult crowd =
       session::run_scenario(session::flash_crowd(8, /*admission=*/true));
-  EXPECT_EQ(crowd.agent_stats.demand_wan_active, 0);
+  EXPECT_EQ(demand_wan_active(crowd), 0.0);
   const session::ScenarioResult chaos =
       session::run_scenario(session::teleport_under_faults(2));
-  EXPECT_EQ(chaos.agent_stats.demand_wan_active, 0);
+  EXPECT_EQ(demand_wan_active(chaos), 0.0);
 }
 
 }  // namespace

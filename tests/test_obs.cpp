@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -89,6 +90,19 @@ TEST(ObsRegistry, JsonlDumpIsDeterministicAndSelfDescribing) {
   EXPECT_EQ(registry.jsonl(), "");
   // Instance numbering restarts too.
   EXPECT_EQ(registry.scope("b").labels(), "component=b,inst=0");
+}
+
+TEST(ObsRegistry, RobustnessReportSumsEveryInstanceByName) {
+  obs::Registry registry;
+  registry.counter("agent.refetches", "component=agent,inst=0").inc(2);
+  registry.counter("agent.refetches", "component=agent,inst=1").inc(3);
+  registry.counter("site.restage_keys", "component=site,inst=0").inc(4);
+  std::ostringstream os;
+  session::print_robustness(os, "site", registry);
+  const std::string report = os.str();
+  EXPECT_EQ(report.rfind("== site (robustness) ==\n", 0), 0u);
+  EXPECT_NE(report.find("  agent: refetches=5 invalidations=0 "), std::string::npos);
+  EXPECT_NE(report.find(" keys=4 "), std::string::npos);
 }
 
 // --- latency histogram --------------------------------------------------------
@@ -349,14 +363,10 @@ TEST(ObsExperiment, RegistryReproducesAccessAndRobustnessSummaries) {
   EXPECT_EQ(reg.find_histogram("session.comm_ns", "component=client,inst=0")->sum(),
             comm_ns);
 
-  // The robustness summary is itself a view over the registry, and the run
-  // exercised the machinery it reports on.
-  const session::RobustnessSummary rob = session::collect_robustness(reg);
-  EXPECT_EQ(rob.timeouts, result.robustness.timeouts);
-  EXPECT_EQ(rob.retries, result.robustness.retries);
-  EXPECT_EQ(rob.failovers, result.robustness.failovers);
-  EXPECT_GT(rob.retries + rob.failovers + rob.timeouts, 0u);
-  EXPECT_EQ(rob.refetches, result.agent_stats.refetches);
+  // The run exercised the self-healing machinery the registry reports on.
+  EXPECT_GT(reg.counter_total("lors.retries") + reg.counter_total("lors.failovers") +
+                reg.counter_total("ibp.timeouts"),
+            0u);
 
   // The dump stays line-structured JSON.
   const std::string jsonl = reg.jsonl();

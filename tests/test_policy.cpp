@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -402,7 +403,7 @@ TEST_F(BudgetTest, InflightCapHoldsUnderSaturatedWan) {
   // The cap actually bit: the slow trunk kept both slots occupied, and the
   // scheduler never opened a third.
   EXPECT_EQ(peak, 2u);
-  EXPECT_GT(agent->stats().prefetches, 0u);
+  EXPECT_GT(agent->metrics().prefetches.value(), 0u);
 }
 
 TEST_F(BudgetTest, ByteBudgetStopsPrefetchOnceChargeIsKnown) {
@@ -422,12 +423,12 @@ TEST_F(BudgetTest, ByteBudgetStopsPrefetchOnceChargeIsKnown) {
   });
   sim_.run();
   ASSERT_TRUE(done);
-  ASSERT_EQ(agent->stats().prefetches, 0u);
+  ASSERT_EQ(agent->metrics().prefetches.value(), 0u);
 
   pan(*agent, [] {});
   // Every round proposed targets; the byte budget refused them all.
-  EXPECT_GT(agent->stats().predictions, 0u);
-  EXPECT_EQ(agent->stats().prefetches, 0u);
+  EXPECT_GT(agent->metrics().predictions.value(), 0u);
+  EXPECT_EQ(agent->metrics().prefetches.value(), 0u);
 }
 
 // --- end-to-end: the perf-gate guarantees ------------------------------------
@@ -450,11 +451,15 @@ session::ExperimentConfig policy_experiment(PrefetchStrategy strategy,
   return cfg;
 }
 
+std::uint64_t total(const session::ExperimentResult& r, const char* counter) {
+  return r.obs->metrics.counter_total(counter);
+}
+
 double hit_rate(const session::ExperimentResult& r) {
-  return r.agent_stats.requests > 0
-             ? static_cast<double>(r.agent_stats.hits) /
-                   static_cast<double>(r.agent_stats.requests)
-             : 0.0;
+  const std::uint64_t requests = total(r, "agent.requests");
+  return requests > 0 ? static_cast<double>(total(r, "agent.hits")) /
+                            static_cast<double>(requests)
+                      : 0.0;
 }
 
 double p99_s(const session::ExperimentResult& r) {
@@ -503,9 +508,9 @@ TEST(PolicyEndToEnd, HybridEvictionPreservesDemandWorkingSetUnderPollution) {
   const auto& hybrid = results[1];
   EXPECT_LT(p99_s(hybrid), p99_s(lru))
       << "hybrid did not shield the demand tail from prefetch pollution";
-  EXPECT_LT(hybrid.agent_stats.pollution_evictions,
-            lru.agent_stats.pollution_evictions);
-  EXPECT_GT(hybrid.agent_stats.rejected_prefetch, 0u);
+  EXPECT_LT(total(hybrid, "cache.pollution_evictions"),
+            total(lru, "cache.pollution_evictions"));
+  EXPECT_GT(total(hybrid, "cache.rejected_prefetch"), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // seeded random workloads (TEST_P / INSTANTIATE_TEST_SUITE_P).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <optional>
 
@@ -17,9 +18,11 @@ namespace {
 
 // --- lattice geometry invariants over many configurations ------------------------
 
+// Parameter structs have no padding: gtest names each case by dumping the
+// param's bytes, and uninitialised padding would change the names every run.
 struct LatticeParam {
   double step;
-  int span;
+  std::int64_t span;
 };
 
 class LatticeProperties : public ::testing::TestWithParam<LatticeParam> {
@@ -27,7 +30,7 @@ class LatticeProperties : public ::testing::TestWithParam<LatticeParam> {
   lightfield::SphericalLattice make() const {
     lightfield::LatticeConfig cfg;
     cfg.angular_step_deg = GetParam().step;
-    cfg.view_set_span = GetParam().span;
+    cfg.view_set_span = static_cast<int>(GetParam().span);
     cfg.view_resolution = 8;
     return lightfield::SphericalLattice(cfg);
   }
@@ -282,7 +285,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExNodeCoverage,
 
 struct CodecParam {
   std::uint64_t seed;
-  int kind;  // 0 random, 1 runs, 2 text-ish, 3 gradient
+  std::int64_t kind;  // 0 random, 1 runs, 2 text-ish, 3 gradient
 };
 
 class CodecProperty : public ::testing::TestWithParam<CodecParam> {};

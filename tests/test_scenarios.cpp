@@ -5,6 +5,7 @@
 // corruption and zero permanent loss.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +26,12 @@ using streaming::AdmissionController;
 using streaming::AdmissionDecision;
 using streaming::DegradeLevel;
 using streaming::DeliveryStatus;
+
+/// Run-wide total of one counter over every component instance.
+template <typename Result>
+std::uint64_t total(const Result& r, const char* counter) {
+  return r.obs->metrics.counter_total(counter);
+}
 
 // --- admission controller -----------------------------------------------------
 
@@ -138,15 +145,15 @@ TEST(DegradeLadder, DescendsOneRungPerMissStreakAndStopsAtTheFloor) {
   cfg.degrade_after_misses = 1;
   cfg.upgrade_after_hits = 100;  // never recovers within this run
   cfg.interactivity_deadline = 1;
-  cfg.lod_resolution = 32;
+  cfg.lod_resolutions = {32};
 
   const session::ExperimentResult result = session::run_experiment(cfg);
-  EXPECT_EQ(result.robustness.downgrades, 3u);
-  EXPECT_EQ(result.robustness.upgrades, 0u);
+  EXPECT_EQ(total(result, "agent.downgrades"), 3u);
+  EXPECT_EQ(total(result, "agent.upgrades"), 0u);
   // The floor suppresses anticipation entirely.
-  EXPECT_GT(result.robustness.degrade_demand_only, 0u);
+  EXPECT_GT(total(result, "agent.degrade_demand_only"), 0u);
   // The middle rung served at least one demand miss from the coarse tier.
-  EXPECT_GT(result.robustness.degrade_lod, 0u);
+  EXPECT_GT(total(result, "agent.degrade_lod"), 0u);
   EXPECT_EQ(result.failed_accesses, 0u);
 }
 
@@ -170,8 +177,8 @@ TEST(DegradeLadder, SustainedOnTimeDeliveriesClimbBackUp) {
   cfg.interactivity_deadline = 100 * kMillisecond;
 
   const session::ExperimentResult result = session::run_experiment(cfg);
-  EXPECT_GT(result.robustness.downgrades, 0u);
-  EXPECT_GT(result.robustness.upgrades, 0u);
+  EXPECT_GT(total(result, "agent.downgrades"), 0u);
+  EXPECT_GT(total(result, "agent.upgrades"), 0u);
   EXPECT_EQ(result.failed_accesses, 0u);
 }
 
@@ -275,12 +282,12 @@ TEST_F(ShedTest, QueueFullDeliversAnExplicitShedNotAFailure) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(*first, DeliveryStatus::kOk);
   EXPECT_EQ(*second, DeliveryStatus::kShed);
-  EXPECT_EQ(agent.stats().demand_shed, 1u);
-  EXPECT_EQ(agent.stats().shed_queue_full, 1u);
+  EXPECT_EQ(agent.metrics().demand_shed.value(), 1u);
+  EXPECT_EQ(agent.metrics().shed_queue_full.value(), 1u);
   // A shed is an overload refusal, not a depot problem: nothing was
   // invalidated, refetched or failed over.
-  EXPECT_EQ(agent.stats().refetches, 0u);
-  EXPECT_EQ(agent.stats().invalidations, 0u);
+  EXPECT_EQ(agent.metrics().refetches.value(), 0u);
+  EXPECT_EQ(agent.metrics().invalidations.value(), 0u);
 }
 
 TEST_F(ShedTest, CacheHitsAndCoalescedRequestsBypassAdmission) {
@@ -304,7 +311,7 @@ TEST_F(ShedTest, CacheHitsAndCoalescedRequestsBypassAdmission) {
   }
   sim_.run();
   EXPECT_EQ(delivered, 3);
-  EXPECT_EQ(agent.stats().demand_shed, 0u);
+  EXPECT_EQ(agent.metrics().demand_shed.value(), 0u);
   // And once cached, a full queue never sheds a hit.
   agent.request_view_set({0, 0}, client_a_,
                          [&](const streaming::ClientAgent::Delivery& d) {
@@ -313,7 +320,7 @@ TEST_F(ShedTest, CacheHitsAndCoalescedRequestsBypassAdmission) {
                          });
   sim_.run();
   EXPECT_EQ(delivered, 4);
-  EXPECT_EQ(agent.stats().demand_shed, 0u);
+  EXPECT_EQ(agent.metrics().demand_shed.value(), 0u);
 }
 
 // --- augmentation hysteresis --------------------------------------------------
@@ -369,8 +376,8 @@ TEST(Scenarios, RunsAreDeterministic) {
   const session::ScenarioResult b = session::run_scenario(session::flash_crowd(10, true));
   EXPECT_EQ(a.mean_total_s, b.mean_total_s);
   EXPECT_EQ(a.p99_worst_s, b.p99_worst_s);
-  EXPECT_EQ(a.robustness.demand_shed, b.robustness.demand_shed);
-  EXPECT_EQ(a.robustness.shed_retries, b.robustness.shed_retries);
+  EXPECT_EQ(total(a, "agent.demand_shed"), total(b, "agent.demand_shed"));
+  EXPECT_EQ(total(a, "session.shed_retries"), total(b, "session.shed_retries"));
   EXPECT_EQ(a.duration, b.duration);
   // The simulator-core counters are part of the deterministic surface: the
   // scale gate matches them exactly across machines and runs.
@@ -394,7 +401,7 @@ TEST(Scenarios, FlashCrowdIsIdenticalUnderIncrementalAndFullResolve) {
   EXPECT_EQ(a.p99_mean_s, b.p99_mean_s);
   EXPECT_EQ(a.total_accesses, b.total_accesses);
   EXPECT_EQ(a.failed_accesses, b.failed_accesses);
-  EXPECT_EQ(a.robustness.demand_shed, b.robustness.demand_shed);
+  EXPECT_EQ(total(a, "agent.demand_shed"), total(b, "agent.demand_shed"));
   EXPECT_EQ(a.duration, b.duration);
   EXPECT_EQ(a.sim_events, b.sim_events);
   EXPECT_EQ(a.sim_scheduled, b.sim_scheduled);
@@ -408,10 +415,10 @@ TEST(Scenarios, FlashCrowdAdmissionShedsRetriesAndNobodyStarves) {
   const session::ScenarioResult result =
       session::run_scenario(session::flash_crowd(40, true));
   // The crowd overflows the demand queue: explicit sheds, not silent queues.
-  EXPECT_GT(result.robustness.demand_shed, 0u);
+  EXPECT_GT(total(result, "agent.demand_shed"), 0u);
   // Clients retried through the backoff machinery, not the failure path.
-  EXPECT_GT(result.robustness.shed_retries, 0u);
-  EXPECT_EQ(result.robustness.failovers, 0u);
+  EXPECT_GT(total(result, "session.shed_retries"), 0u);
+  EXPECT_EQ(total(result, "lors.failovers"), 0u);
   // Fair share: every client still made progress.
   EXPECT_GT(result.min_client_delivered, 0u);
 }
@@ -424,7 +431,7 @@ TEST(Scenarios, WarmSiteCacheBeatsCold) {
   EXPECT_EQ(cold.failed_accesses, 0u);
   // With the whole database prestaged before the first view, nothing is
   // fetched across the WAN and the tail collapses.
-  EXPECT_EQ(warm.agent_stats.wan_accesses, 0u);
+  EXPECT_EQ(total(warm, "agent.wan_accesses"), 0u);
   EXPECT_LE(warm.p99_worst_s, cold.p99_worst_s);
 }
 
@@ -435,8 +442,8 @@ TEST(Scenarios, LeaseExpiryWaveIsAbsorbed) {
   // The expiry wave actually happened and the agent healed through it —
   // replica failover away from the dead LAN copy, stale-exNode invalidation
   // and refetch, or restaging, depending on where the read caught it.
-  EXPECT_GT(result.robustness.failovers + result.robustness.invalidations +
-                result.robustness.refetches + result.robustness.restaged,
+  EXPECT_GT(total(result, "lors.failovers") + total(result, "agent.invalidations") +
+                total(result, "agent.refetches") + total(result, "agent.restaged"),
             0u);
 }
 
@@ -448,8 +455,8 @@ TEST(Scenarios, ChaosSoakHasNoUndetectedCorruptionAndNoPermanentLoss) {
   scenario.base.client.decode = true;
   const session::ScenarioResult result = session::run_scenario(scenario);
   // Corruption was injected and caught...
-  EXPECT_GT(result.robustness.corruption_detected, 0u);
-  EXPECT_GT(result.fault_stats.crashes, 0u);
+  EXPECT_GT(total(result, "lors.corruption_detected"), 0u);
+  EXPECT_GT(total(result, "fault.crashes"), 0u);
   // ...and every access was eventually delivered intact.
   EXPECT_EQ(result.failed_accesses, 0u);
   EXPECT_GT(result.min_client_delivered, 0u);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -82,16 +83,16 @@ TEST_F(SiteCacheTest, SingleFlightCoalescesToOneLeader) {
   site.finish_restage(id, 0, true, fake_exnode(id));
   EXPECT_EQ(follower_done, 4);
   EXPECT_TRUE(follower_ok);
-  EXPECT_EQ(site.stats().restage_leaders, 1u);
-  EXPECT_EQ(site.stats().restage_joins, 4u);
-  EXPECT_EQ(site.stats().restage_keys, 1u);
+  EXPECT_EQ(site.metrics().restage_leaders.value(), 1u);
+  EXPECT_EQ(site.metrics().restage_joins.value(), 4u);
+  EXPECT_EQ(site.metrics().restage_keys.value(), 1u);
 
   // The flight is gone: a later restage of the same key leads afresh, but
   // the key was already counted — restage_keys stays the distinct count.
   EXPECT_TRUE(site.begin_restage(id, 0, nullptr));
   site.finish_restage(id, 0, true, fake_exnode(id));
-  EXPECT_EQ(site.stats().restage_leaders, 2u);
-  EXPECT_EQ(site.stats().restage_keys, 1u);
+  EXPECT_EQ(site.metrics().restage_leaders.value(), 2u);
+  EXPECT_EQ(site.metrics().restage_keys.value(), 1u);
 }
 
 TEST_F(SiteCacheTest, DistinctLodTiersAreSeparateFlights) {
@@ -101,7 +102,7 @@ TEST_F(SiteCacheTest, DistinctLodTiersAreSeparateFlights) {
   EXPECT_TRUE(site.begin_restage(id, 0, nullptr));
   EXPECT_TRUE(site.begin_restage(id, 2, nullptr));  // other tier, own flight
   EXPECT_FALSE(site.begin_restage(id, 2, [](bool, const exnode::ExNode&) {}));
-  EXPECT_EQ(site.stats().restage_keys, 2u);
+  EXPECT_EQ(site.metrics().restage_keys.value(), 2u);
 }
 
 TEST_F(SiteCacheTest, FailedRestageResolvesFollowersWithFailure) {
@@ -136,7 +137,7 @@ TEST_F(SiteCacheTest, LookupDropsExpiredLeaseLazilyAndFansOut) {
   EXPECT_FALSE(site.lookup(id).has_value());
   ASSERT_EQ(invalidated.size(), 1u);
   EXPECT_EQ(invalidated[0], id);
-  EXPECT_EQ(site.stats().expirations, 1u);
+  EXPECT_EQ(site.metrics().expirations.value(), 1u);
   EXPECT_EQ(site.size(), 0u);
 }
 
@@ -166,7 +167,7 @@ TEST_F(SiteCacheTest, ExpiryTimerInvalidatesEveryListenerAtomically) {
   // no window in which one still trusts the dead replica.
   EXPECT_EQ(seen_a, expiry);
   EXPECT_EQ(seen_b, expiry);
-  EXPECT_EQ(site.stats().expirations, 1u);
+  EXPECT_EQ(site.metrics().expirations.value(), 1u);
 }
 
 TEST_F(SiteCacheTest, RepublishSupersedesTheOlderExpiryTimer) {
@@ -186,7 +187,7 @@ TEST_F(SiteCacheTest, RepublishSupersedesTheOlderExpiryTimer) {
   sim_.run();
   EXPECT_TRUE(live_after_first_expiry);
   EXPECT_EQ(fanouts, 1);  // only the real (second) expiry fanned out
-  EXPECT_EQ(site.stats().expirations, 1u);
+  EXPECT_EQ(site.metrics().expirations.value(), 1u);
 }
 
 TEST_F(SiteCacheTest, ExplicitInvalidateFansOutEvenWhenAbsent) {
@@ -198,7 +199,7 @@ TEST_F(SiteCacheTest, ExplicitInvalidateFansOutEvenWhenAbsent) {
   // already dropped it: the co-sited wave must still run.
   site.invalidate({2, 2});
   EXPECT_EQ(fanouts, 1);
-  EXPECT_EQ(site.stats().invalidations, 1u);
+  EXPECT_EQ(site.metrics().invalidations.value(), 1u);
 }
 
 TEST_F(SiteCacheTest, CapacityEvictionIsLruAndDoesNotFanOut) {
@@ -220,11 +221,11 @@ TEST_F(SiteCacheTest, CapacityEvictionIsLruAndDoesNotFanOut) {
   EXPECT_TRUE(site.contains({0, 0}));
   EXPECT_TRUE(site.contains({0, 2}));
   EXPECT_TRUE(site.contains({0, 3}));
-  EXPECT_EQ(site.stats().evictions, 1u);
+  EXPECT_EQ(site.metrics().evictions.value(), 1u);
   // Eviction only forgets the index entry — the stager's replica and lease
   // are intact, so nobody's derived state may be dropped.
   EXPECT_EQ(fanouts, 0);
-  EXPECT_LE(site.stats().bytes, 300u);
+  EXPECT_LE(site.metrics().bytes.value(), 300u);
 }
 
 TEST_F(SiteCacheTest, RemovedListenerStopsReceivingFanouts) {
@@ -240,8 +241,8 @@ TEST_F(SiteCacheTest, RemovedListenerStopsReceivingFanouts) {
 }
 
 // TSan target: agents on the simulator thread and pool workers may hit the
-// index concurrently. Timers stay off — the simulator is not thread-safe,
-// the index is.
+// index — and read its counters — concurrently. Timers stay off — the
+// simulator is not thread-safe, the index is.
 TEST_F(SiteCacheTest, ConcurrentHammerKeepsTheIndexConsistent) {
   SiteCacheConfig cfg;
   cfg.capacity_bytes = 64 * 100;  // force concurrent evictions too
@@ -251,6 +252,26 @@ TEST_F(SiteCacheTest, ConcurrentHammerKeepsTheIndexConsistent) {
   std::atomic<int> fanouts{0};
   site.add_listener([&](const ViewSetId&, int) { ++fanouts; });
 
+  // Readers sample the counters while the workers run: every counter only
+  // ever grows, and the index never outgrows the 32 distinct keys.
+  std::atomic<bool> workers_done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&site, &workers_done] {
+      const SiteCache::Metrics& m = site.metrics();
+      std::uint64_t lookups = 0, hits = 0, restage_keys = 0;
+      for (bool last = false; !last; std::this_thread::yield()) {
+        last = workers_done.load();
+        EXPECT_GE(m.lookups.value(), lookups);
+        EXPECT_GE(m.hits.value(), hits);
+        EXPECT_GE(m.restage_keys.value(), restage_keys);
+        lookups = m.lookups.value();
+        hits = m.hits.value();
+        restage_keys = m.restage_keys.value();
+        EXPECT_LE(site.size(), 32u);
+      }
+    });
+  }
   constexpr int kThreads = 8;
   constexpr int kOps = 400;
   std::vector<std::thread> workers;
@@ -282,12 +303,14 @@ TEST_F(SiteCacheTest, ConcurrentHammerKeepsTheIndexConsistent) {
     });
   }
   for (std::thread& worker : workers) worker.join();
+  workers_done = true;
+  for (std::thread& reader : readers) reader.join();
 
-  const SiteCache::Stats& stats = site.stats();
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  const SiteCache::Metrics& m = site.metrics();
+  EXPECT_EQ(m.hits.value() + m.misses.value(), m.lookups.value());
   EXPECT_LE(site.size(), 32u);
-  EXPECT_LE(stats.bytes, 64u * 100u);
-  EXPECT_EQ(stats.restage_keys, 32u);
+  EXPECT_LE(m.bytes.value(), 64u * 100u);
+  EXPECT_EQ(m.restage_keys.value(), 32u);
   EXPECT_GT(fanouts.load(), 0);
 }
 
@@ -508,13 +531,13 @@ TEST_F(CoSitedPipelineTest, CoSitedAgentsStageEachViewSetExactlyOnce) {
   std::uint64_t coalesced = 0, adopted = 0;
   for (auto& agent : agents_) {
     EXPECT_TRUE(agent->staging_complete());
-    EXPECT_EQ(agent->stats().staged, sets);
-    coalesced += agent->stats().restage_coalesced;
-    adopted += agent->stats().site_adopted;
+    EXPECT_EQ(agent->metrics().staged.value(), sets);
+    coalesced += agent->metrics().restage_coalesced.value();
+    adopted += agent->metrics().site_adopted.value();
   }
   // Exactly one WAN staging per view set, site-wide...
-  EXPECT_EQ(site_->stats().restage_leaders, sets);
-  EXPECT_EQ(site_->stats().restage_keys, sets);
+  EXPECT_EQ(site_->metrics().restage_leaders.value(), sets);
+  EXPECT_EQ(site_->metrics().restage_keys.value(), sets);
   // ...and the other two agents' work was entirely shared: every one of
   // their 2 * sets staging targets was adopted or joined, never refetched.
   EXPECT_EQ(coalesced + adopted, 2 * sets);
@@ -528,11 +551,11 @@ TEST_F(CoSitedPipelineTest, ControlAgentsWithoutTheSiteCacheStageNTimes) {
   std::uint64_t wan_bytes = 0;
   for (auto& agent : agents_) {
     EXPECT_TRUE(agent->staging_complete());
-    wan_bytes += agent->stats().stage_wan_bytes;
-    EXPECT_EQ(agent->stats().restage_coalesced, 0u);
-    EXPECT_EQ(agent->stats().site_adopted, 0u);
+    wan_bytes += agent->metrics().stage_wan_bytes.value();
+    EXPECT_EQ(agent->metrics().restage_coalesced.value(), 0u);
+    EXPECT_EQ(agent->metrics().site_adopted.value(), 0u);
   }
-  EXPECT_EQ(site_->stats().restage_leaders, 0u);
+  EXPECT_EQ(site_->metrics().restage_leaders.value(), 0u);
   // Both agents paid the full database over the WAN: the stampede.
   EXPECT_EQ(wan_bytes % 2, 0u);
   EXPECT_GT(wan_bytes, 0u);
@@ -555,9 +578,9 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   // the 1 h source lease on the WAN replicas, which the refetches depend on.
   sim_.run_until(300 * kSecond);
   ASSERT_TRUE(agent.staging_complete());
-  ASSERT_EQ(agent.stats().restaged, 0u);
+  ASSERT_EQ(agent.metrics().restaged.value(), 0u);
   const std::size_t sets = source_->lattice().view_set_count();
-  ASSERT_EQ(site_->stats().restage_leaders, sets);
+  ASSERT_EQ(site_->metrics().restage_leaders.value(), sets);
 
   // Every depot dark: the staged attempt fails, and so does each WAN-side
   // refetch after it. Heal long after the incident has fully played out.
@@ -582,12 +605,12 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   // The refetch budget was spent: several failures, ONE counted restage —
   // only the attempt served from the staged copy dropped it; the WAN-side
   // retries must not count again.
-  EXPECT_EQ(agent.stats().refetches, 2u);
-  EXPECT_EQ(agent.stats().restaged, 1u);
+  EXPECT_EQ(agent.metrics().refetches.value(), 2u);
+  EXPECT_EQ(agent.metrics().restaged.value(), 1u);
   // The queued restage led exactly one single-flight attempt (it failed —
   // the depots were still dark — but it was one flight, not a stampede).
-  EXPECT_EQ(site_->stats().restage_leaders, sets + 1);
-  EXPECT_GE(agent.stats().staging_failures, 1u);
+  EXPECT_EQ(site_->metrics().restage_leaders.value(), sets + 1);
+  EXPECT_GE(agent.metrics().staging_failures.value(), 1u);
 
   // After the heal the same view set is served cleanly over the WAN.
   bool delivered = false;
@@ -597,7 +620,7 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   });
   sim_.run_until(1500 * kSecond);  // still inside the 1 h source lease
   EXPECT_TRUE(delivered);
-  EXPECT_EQ(agent.stats().restaged, 1u);  // still the one incident
+  EXPECT_EQ(agent.metrics().restaged.value(), 1u);  // still the one incident
 }
 
 // Lease-expiry wave across a site: when the shared lease runs out, every
@@ -621,14 +644,19 @@ TEST_F(CoSitedPipelineTest, LeaseExpiryWaveDropsEveryAgentAtomically) {
     for (const ViewSetId& id : source_->lattice().all_view_sets()) {
       EXPECT_FALSE(agent->is_staged(id));
     }
-    EXPECT_EQ(agent->stats().restaged, 0u);  // restage off: pure wave
+    EXPECT_EQ(agent->metrics().restaged.value(), 0u);  // restage off: pure wave
   }
   EXPECT_EQ(site_->size(), 0u);
   // One shared entry per view set, each expiring exactly once site-wide.
-  EXPECT_EQ(site_->stats().expirations, sets);
+  EXPECT_EQ(site_->metrics().expirations.value(), sets);
 }
 
 // --- composed co-sited crowd scenario -----------------------------------------
+
+/// Run-wide total of one counter over every component instance.
+std::uint64_t total(const session::ScenarioResult& r, const char* counter) {
+  return r.obs->metrics.counter_total(counter);
+}
 
 TEST(CoSitedScenario, SiteCacheCollapsesTheRestageStampede) {
   const session::ScenarioResult site =
@@ -639,15 +667,15 @@ TEST(CoSitedScenario, SiteCacheCollapsesTheRestageStampede) {
   EXPECT_EQ(site.failed_accesses, 0u);
   EXPECT_EQ(control.failed_accesses, 0u);
   // Exactly one WAN staging per hot view set with the cooperative cache...
-  EXPECT_GT(site.robustness.site_restage_keys, 0u);
-  EXPECT_EQ(site.robustness.site_restage_leaders, site.robustness.site_restage_keys);
-  EXPECT_GT(site.robustness.restage_coalesced, 0u);
-  EXPECT_GT(site.robustness.site_adopted, 0u);
+  EXPECT_GT(total(site, "site.restage_keys"), 0u);
+  EXPECT_EQ(total(site, "site.restage_leaders"), total(site, "site.restage_keys"));
+  EXPECT_GT(total(site, "agent.restage_coalesced"), 0u);
+  EXPECT_GT(total(site, "agent.site_adopted"), 0u);
   // ...which buys strictly fewer WAN bytes than everyone restaging alone.
-  EXPECT_LT(site.robustness.stage_wan_bytes, control.robustness.stage_wan_bytes);
+  EXPECT_LT(total(site, "agent.stage_wan_bytes"), total(control, "agent.stage_wan_bytes"));
   // The control never touches the site machinery.
-  EXPECT_EQ(control.robustness.restage_coalesced, 0u);
-  EXPECT_EQ(control.robustness.site_restage_leaders, 0u);
+  EXPECT_EQ(total(control, "agent.restage_coalesced"), 0u);
+  EXPECT_EQ(total(control, "site.restage_leaders"), 0u);
 }
 
 TEST(CoSitedScenario, CoSitedRunsAreDeterministic) {
@@ -656,9 +684,9 @@ TEST(CoSitedScenario, CoSitedRunsAreDeterministic) {
   const session::ScenarioResult b =
       session::run_scenario(session::co_sited_crowd(/*site=*/true, 10));
   EXPECT_EQ(a.mean_total_s, b.mean_total_s);
-  EXPECT_EQ(a.robustness.stage_wan_bytes, b.robustness.stage_wan_bytes);
-  EXPECT_EQ(a.robustness.restage_coalesced, b.robustness.restage_coalesced);
-  EXPECT_EQ(a.robustness.site_restage_leaders, b.robustness.site_restage_leaders);
+  EXPECT_EQ(total(a, "agent.stage_wan_bytes"), total(b, "agent.stage_wan_bytes"));
+  EXPECT_EQ(total(a, "agent.restage_coalesced"), total(b, "agent.restage_coalesced"));
+  EXPECT_EQ(total(a, "site.restage_leaders"), total(b, "site.restage_leaders"));
   EXPECT_EQ(a.sim_events, b.sim_events);
   EXPECT_EQ(a.duration, b.duration);
 }

@@ -158,7 +158,7 @@ TEST_F(DvsTest, InstallThenQueryFinds) {
   EXPECT_TRUE(result->found);
   EXPECT_EQ(result->levels, dvs_->tree_depth());
   EXPECT_EQ(result->exnode.extents().size(), 1u);
-  EXPECT_EQ(dvs_->stats().hits, 1u);
+  EXPECT_EQ(dvs_->metrics().hits.value(), 1u);
 }
 
 TEST_F(DvsTest, QueryChargesRoundTripAndLevels) {
@@ -178,7 +178,7 @@ TEST_F(DvsTest, MissWithoutGeneratorReportsNotFound) {
   sim_.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->found);
-  EXPECT_EQ(dvs_->stats().misses, 1u);
+  EXPECT_EQ(dvs_->metrics().misses.value(), 1u);
 }
 
 TEST_F(DvsTest, OutOfGridQueriesFailCleanly) {
@@ -217,7 +217,7 @@ TEST_F(DvsTest, MissForwardsToServerAgentTable) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->found);
   EXPECT_EQ(generator.calls, 1);
-  EXPECT_EQ(dvs_->stats().forwarded, 1u);
+  EXPECT_EQ(dvs_->metrics().forwarded.value(), 1u);
   // The exNode table was updated: the next query is a plain hit.
   EXPECT_TRUE(dvs_->knows({2, 5}));
 }
@@ -228,7 +228,7 @@ TEST_F(DvsTest, UpdateAsyncInstallsRemotely) {
   sim_.run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(dvs_->knows({3, 1}));
-  EXPECT_GE(dvs_->stats().updates, 1u);
+  EXPECT_GE(dvs_->metrics().updates.value(), 1u);
 }
 
 // --- full pipeline fixture -------------------------------------------------------
@@ -361,7 +361,7 @@ TEST_F(PipelineTest, SecondRequestIsAHit) {
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kAgentHit);
   EXPECT_EQ(comm, kAgentHitLatency);
-  EXPECT_EQ(agent->stats().hits, 1u);
+  EXPECT_EQ(agent->metrics().hits.value(), 1u);
 }
 
 TEST_F(PipelineTest, ColdDemandFetchCopiesTheCompressedPayloadExactlyOnce) {
@@ -373,7 +373,7 @@ TEST_F(PipelineTest, ColdDemandFetchCopiesTheCompressedPayloadExactlyOnce) {
   publish(id);
   const std::size_t compressed_size = source_->build_compressed(id).size();
   auto agent = make_agent(false, false);
-  ASSERT_EQ(agent->stats().payload_copy_bytes, 0u);
+  ASSERT_EQ(agent->metrics().payload_copy_bytes.value(), 0u);
 
   bool done = false;
   agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
@@ -382,7 +382,7 @@ TEST_F(PipelineTest, ColdDemandFetchCopiesTheCompressedPayloadExactlyOnce) {
   });
   sim_.run();
   ASSERT_TRUE(done);
-  EXPECT_EQ(agent->stats().payload_copy_bytes, compressed_size);
+  EXPECT_EQ(agent->metrics().payload_copy_bytes.value(), compressed_size);
 }
 
 TEST_F(PipelineTest, WarmCacheHitCopiesZeroPayloadBytes) {
@@ -391,7 +391,7 @@ TEST_F(PipelineTest, WarmCacheHitCopiesZeroPayloadBytes) {
   auto agent = make_agent(false, false);
   agent->request_view_set(id, [](const Bytes&, AccessClass, SimDuration) {});
   sim_.run();
-  const std::uint64_t after_cold = agent->stats().payload_copy_bytes;
+  const std::uint64_t after_cold = agent->metrics().payload_copy_bytes.value();
   EXPECT_GT(after_cold, 0u);
 
   std::optional<AccessClass> cls;
@@ -402,7 +402,7 @@ TEST_F(PipelineTest, WarmCacheHitCopiesZeroPayloadBytes) {
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kAgentHit);
   // The hit serves the cached slab by reference: not one byte copied.
-  EXPECT_EQ(agent->stats().payload_copy_bytes, after_cold);
+  EXPECT_EQ(agent->metrics().payload_copy_bytes.value(), after_cold);
 }
 
 TEST_F(PipelineTest, AccessRecordsCarryPerAccessCopiedBytes) {
@@ -419,7 +419,7 @@ TEST_F(PipelineTest, AccessRecordsCarryPerAccessCopiedBytes) {
   const AccessRecord& cold = client.accesses().front();
   EXPECT_EQ(cold.cls, AccessClass::kWan);
   EXPECT_EQ(cold.copied_bytes, cold.compressed_bytes);
-  EXPECT_EQ(cold.copied_bytes, agent->stats().payload_copy_bytes);
+  EXPECT_EQ(cold.copied_bytes, agent->metrics().payload_copy_bytes.value());
 
   // A different client instance re-requesting hits the agent cache: the
   // access record shows a zero-copy serve.
@@ -447,7 +447,7 @@ TEST_F(PipelineTest, CursorTriggersQuadrantPrefetch) {
   agent->notify_cursor(dir);
   sim_.run();
 
-  EXPECT_EQ(agent->stats().prefetches, 3u);
+  EXPECT_EQ(agent->metrics().prefetches.value(), 3u);
   const auto targets = lattice.prefetch_targets({1, 3}, lattice.quadrant_of(dir));
   for (const auto& target : targets) {
     EXPECT_TRUE(agent->cache().contains(target))
@@ -478,7 +478,7 @@ TEST_F(PipelineTest, DemandJoinsInflightPrefetch) {
   ASSERT_TRUE(cls.has_value());
   EXPECT_EQ(*cls, AccessClass::kWan);  // data still came over the WAN...
   // ...but part of the latency was already hidden by the prefetch head start.
-  EXPECT_GT(agent->stats().prefetches, 0u);
+  EXPECT_GT(agent->metrics().prefetches.value(), 0u);
   EXPECT_LT(comm, 2 * kSecond);
 }
 
@@ -488,8 +488,8 @@ TEST_F(PipelineTest, StagingLocalizesTheWholeDatabase) {
   agent->start_staging();
   sim_.run();
   EXPECT_TRUE(agent->staging_complete());
-  EXPECT_EQ(agent->stats().staged, source_->lattice().view_set_count());
-  EXPECT_EQ(agent->stats().staging_failures, 0u);
+  EXPECT_EQ(agent->metrics().staged.value(), source_->lattice().view_set_count());
+  EXPECT_EQ(agent->metrics().staging_failures.value(), 0u);
   // Every LAN depot holds allocations now.
   for (const auto& name : lan_depots_) {
     EXPECT_GT(fabric_.find_depot(name)->allocation_count(), 0u);
@@ -528,7 +528,7 @@ TEST_F(PipelineTest, StagingOrderFollowsCursorProximity) {
   // Let a handful of staging operations finish, then check that what got
   // staged is angularly close to the cursor.
   sim_.run_until(sim_.now() + 3 * kSecond);
-  ASSERT_GT(agent->stats().staged, 0u);
+  ASSERT_GT(agent->metrics().staged.value(), 0u);
   ASSERT_FALSE(agent->staging_complete());
   const double far_distance = lattice.view_set_distance({1, 3}, {2, 7});
   std::size_t staged_near = 0, staged_far = 0;
@@ -644,7 +644,7 @@ TEST_F(PipelineTest, AgentCacheEvictionKeepsSessionCorrect) {
   }
   EXPECT_GT(agent->cache().evictions(), 0u);
   // Revisits after eviction re-fetch from the WAN, not from thin air.
-  EXPECT_GT(agent->stats().wan_accesses, 4u);
+  EXPECT_GT(agent->metrics().wan_accesses.value(), 4u);
 }
 
 TEST_F(PipelineTest, ClassifyUsesBestReplicaAcrossAllExtents) {
@@ -678,7 +678,7 @@ TEST_F(PipelineTest, ClassifyUsesBestReplicaAcrossAllExtents) {
   sim_.run();
   ASSERT_TRUE(cls.has_value());
   EXPECT_EQ(*cls, AccessClass::kLanDepot);
-  EXPECT_EQ(agent->stats().lan_accesses, 1u);
+  EXPECT_EQ(agent->metrics().lan_accesses.value(), 1u);
   EXPECT_EQ(received, source_->build_compressed(id));
 }
 
@@ -706,8 +706,9 @@ TEST_F(PipelineTest, FailedDownloadAbortsAbandonedPipeline) {
   ASSERT_TRUE(done);
   EXPECT_TRUE(received.empty());  // failure reported, not hung
   // Every failed attempt (initial + each refetch) drained its own pipeline.
-  EXPECT_GT(agent->stats().refetches, 0u);
-  EXPECT_EQ(agent->stats().pipeline_aborts, agent->stats().refetches + 1);
+  EXPECT_GT(agent->metrics().refetches.value(), 0u);
+  EXPECT_EQ(agent->metrics().pipeline_aborts.value(),
+            agent->metrics().refetches.value() + 1);
 
   // Depots return: the same agent then serves the view set cleanly, with no
   // abandoned pipeline work polluting the retried fetch.
@@ -719,7 +720,8 @@ TEST_F(PipelineTest, FailedDownloadAbortsAbandonedPipeline) {
   });
   sim_.run();
   EXPECT_EQ(again, source_->build_compressed(id));
-  EXPECT_EQ(agent->stats().pipeline_aborts, agent->stats().refetches + 1);
+  EXPECT_EQ(agent->metrics().pipeline_aborts.value(),
+            agent->metrics().refetches.value() + 1);
 }
 
 TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
