@@ -43,22 +43,25 @@ session::ExperimentConfig base(double crashes_per_minute) {
   return cfg;
 }
 
-void report(const char* label, double rate, const session::ExperimentResult& r) {
+/// Runs `cfg`'s single walk and prints its row.
+void report(const char* label, double rate, const session::ExperimentConfig& cfg) {
+  const session::ScenarioResult r = session::run_scenario(session::single_walk(cfg));
   std::string slug = "faults-" + std::string(label) + "-" + std::to_string(rate);
   for (char& c : slug) {
     if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '.') c = '-';
   }
   bench::write_observability(r, slug);
-  const double duration_s = to_seconds(r.script_duration);
+  const session::AccessSummary& summary = r.clients.front().summary;
+  const double duration_s = to_seconds(r.duration);
   const double frame_rate =
-      duration_s > 0 ? static_cast<double>(r.summary.total) / duration_s : 0.0;
+      duration_s > 0 ? static_cast<double>(summary.total) / duration_s : 0.0;
   const auto n = [&r](const char* counter) {
     return static_cast<unsigned long long>(r.obs->metrics.counter_total(counter));
   };
   std::printf("%-26s %6.1f %9.3f %9.3f %9.3f %7zu %5llu %5llu %5llu %5llu\n",
-              label, rate, frame_rate, r.summary.mean_total_s,
-              r.summary.mean_comm_wan_s, r.failed_accesses, n("ibp.timeouts"),
-              n("lors.failovers"), n("lors.retries"), n("lors.replicas_repaired"));
+              label, rate, frame_rate, summary.mean_total_s, summary.mean_comm_wan_s,
+              r.failed_accesses, n("ibp.timeouts"), n("lors.failovers"),
+              n("lors.retries"), n("lors.replicas_repaired"));
 }
 
 }  // namespace
@@ -85,18 +88,15 @@ int main() {
               "cr/min", "views/s", "mean", "wan-comm", "failed", "tmo", "fo",
               "rtry", "repd");
 
-  report("fault-free baseline", 0.0, session::run_experiment(base(0.0)));
+  report("fault-free baseline", 0.0, base(0.0));
 
   for (const double rate : {2.0, 6.0}) {
-    {
-      session::ExperimentConfig cfg = base(rate);
-      report("failover only", rate, session::run_experiment(cfg));
-    }
+    report("failover only", rate, base(rate));
     {
       session::ExperimentConfig cfg = base(rate);
       cfg.retry.max_attempts = 4;
       cfg.retry.base_backoff = 250 * kMillisecond;
-      report("+ retry", rate, session::run_experiment(cfg));
+      report("+ retry", rate, cfg);
     }
     {
       session::ExperimentConfig cfg = base(rate);
@@ -104,7 +104,7 @@ int main() {
       cfg.retry.base_backoff = 250 * kMillisecond;
       cfg.repair_interval = 5 * kSecond;
       cfg.repair_batch = 8;
-      report("+ retry + repair", rate, session::run_experiment(cfg));
+      report("+ retry + repair", rate, cfg);
     }
   }
 
@@ -114,7 +114,7 @@ int main() {
     cfg.faults = permanent_loss_plan();
     cfg.retry.max_attempts = 4;
     cfg.retry.base_backoff = 250 * kMillisecond;
-    report("loss, no repair", 0.0, session::run_experiment(cfg));
+    report("loss, no repair", 0.0, cfg);
   }
   {
     session::ExperimentConfig cfg = base(0.0);
@@ -123,7 +123,7 @@ int main() {
     cfg.retry.base_backoff = 250 * kMillisecond;
     cfg.repair_interval = 5 * kSecond;
     cfg.repair_batch = 8;
-    report("loss, repair sweeps", 0.0, session::run_experiment(cfg));
+    report("loss, repair sweeps", 0.0, cfg);
   }
   return 0;
 }

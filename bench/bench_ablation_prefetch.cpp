@@ -23,11 +23,11 @@ int main() {
       cfg.wan_bandwidth_bps = 50e6;  // make WAN fetches cost a visible fraction
       cfg.prefetch = prefetch;
       cfg.dwell = from_seconds(dwell_s);
-      const session::ExperimentResult result = session::run_experiment(cfg);
+      const session::AccessSummary summary =
+          session::run_scenario(session::single_walk(cfg)).clients.front().summary;
       std::printf("%-10s %6.2f s %10.3f s %10.3f s %8zu %8zu\n",
-                  prefetch ? "on" : "off", dwell_s, result.summary.mean_total_s,
-                  result.summary.max_total_s, result.summary.hits,
-                  result.summary.wan);
+                  prefetch ? "on" : "off", dwell_s, summary.mean_total_s,
+                  summary.max_total_s, summary.hits, summary.wan);
     }
   }
   std::printf("\n(slow dwell + prefetch converts WAN fetches into agent hits;\n"

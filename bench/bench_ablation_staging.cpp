@@ -9,11 +9,15 @@
 
 namespace {
 
-void report(const char* label, const lon::session::ExperimentResult& result) {
+/// Runs `cfg`'s single walk and prints its row.
+void report(const char* label, const lon::session::ExperimentConfig& cfg) {
+  using namespace lon;
+  const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
+  const session::AccessSummary& summary = result.clients.front().summary;
   std::printf("%-34s %10.3f s %10.3f s %7zu %8.2f %6zu\n", label,
-              result.summary.mean_total_s, result.summary.mean_total_phase2_s,
-              result.summary.initial_phase, result.summary.wan_rate_initial,
-              result.staged_at_end);
+              summary.mean_total_s, summary.mean_total_phase2_s, summary.initial_phase,
+              summary.wan_rate_initial,
+              static_cast<std::size_t>(result.obs->metrics.counter_total("agent.staged")));
 }
 
 }  // namespace
@@ -40,31 +44,28 @@ int main() {
     return cfg;
   };
 
-  {
-    session::ExperimentConfig cfg = base();
-    report("proximity order (paper)", session::run_experiment(cfg));
-  }
+  report("proximity order (paper)", base());
   {
     session::ExperimentConfig cfg = base();
     cfg.staging_order = streaming::ClientAgentConfig::StagingOrder::kFifo;
-    report("fifo order", session::run_experiment(cfg));
+    report("fifo order", cfg);
   }
   {
     session::ExperimentConfig cfg = base();
     cfg.pause_staging_on_miss = true;
-    report("pause staging on miss", session::run_experiment(cfg));
+    report("pause staging on miss", cfg);
   }
   for (const int concurrency : {1, 2, 8}) {
     session::ExperimentConfig cfg = base();
     cfg.staging_concurrency = concurrency;
     char label[64];
     std::snprintf(label, sizeof label, "staging concurrency %d", concurrency);
-    report(label, session::run_experiment(cfg));
+    report(label, cfg);
   }
   {
     session::ExperimentConfig cfg = base();
     cfg.which = session::Case::kWanStreaming;  // no staging at all
-    report("no staging (case 2 baseline)", session::run_experiment(cfg));
+    report("no staging (case 2 baseline)", cfg);
   }
   return 0;
 }

@@ -10,7 +10,7 @@
 #include <fstream>
 #include <string>
 
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 
 namespace lon::bench {
 
@@ -50,7 +50,7 @@ inline session::ExperimentConfig small_config(std::size_t resolution,
 /// and `<dir>/<label>.trace.json` (Chrome trace_event — load in
 /// chrome://tracing or Perfetto). No-op, returning false, when the
 /// environment variable is absent so normal runs stay side-effect free.
-inline bool write_observability(const session::ExperimentResult& result,
+inline bool write_observability(const session::ScenarioResult& result,
                                 const std::string& label) {
   const char* dir = std::getenv("LON_OBS_DIR");
   if (dir == nullptr || result.obs == nullptr) return false;

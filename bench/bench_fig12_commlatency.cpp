@@ -28,18 +28,19 @@ int main() {
       cfg.all_filler = true;
       cfg.client.decode = false;
       cfg.client.timing = streaming::ClientConfig::Timing::kModeled;
-      const session::ExperimentResult result = session::run_experiment(cfg);
+      const session::ScenarioResult result =
+          session::run_scenario(session::single_walk(cfg));
+      const auto& walk = result.clients.front();
 
       std::printf("\n# %zux%zu %s — comm seconds per access (class)\n", resolution,
                   resolution, session::to_string(which));
-      for (std::size_t n = 0; n < result.accesses.size(); ++n) {
-        std::printf("%zu\t%.3e\t%s\n", n + 1,
-                    to_seconds(result.accesses[n].comm_latency),
-                    streaming::to_string(result.accesses[n].cls));
+      for (std::size_t n = 0; n < walk.accesses.size(); ++n) {
+        std::printf("%zu\t%.3e\t%s\n", n + 1, to_seconds(walk.accesses[n].comm_latency),
+                    streaming::to_string(walk.accesses[n].cls));
       }
       std::printf("# mean comm: hit=%.2e s lan=%.2e s wan=%.2e s\n",
-                  result.summary.mean_comm_hit_s, result.summary.mean_comm_lan_s,
-                  result.summary.mean_comm_wan_s);
+                  walk.summary.mean_comm_hit_s, walk.summary.mean_comm_lan_s,
+                  walk.summary.mean_comm_wan_s);
     }
   }
   return 0;

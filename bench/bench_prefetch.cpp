@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 
 namespace {
 
@@ -72,7 +72,7 @@ session::CursorScript make_script(const lightfield::SphericalLattice& lattice,
   return CursorScript::standard(lattice, dwell, smoke ? 24 : 58);
 }
 
-Row run_scenario(const Scenario& s, bool smoke) {
+Row run_row(const Scenario& s, bool smoke) {
   // Case 2: WAN database, no LAN prestaging — every miss pays the trunk.
   session::ExperimentConfig cfg =
       smoke ? bench::small_config(200, session::Case::kWanStreaming)
@@ -97,20 +97,22 @@ Row run_scenario(const Scenario& s, bool smoke) {
   // exercises the inflight cap; quadrant issues at most 3 anyway.
   cfg.prefetch_max_inflight = 4;
 
-  lightfield::SphericalLattice lattice(cfg.lattice);
-  cfg.script = make_script(lattice, s.script, dwell, smoke);
+  session::Scenario walk = session::single_walk(cfg);
+  walk.clients[0].script =
+      make_script(lightfield::SphericalLattice(cfg.lattice), s.script, dwell, smoke);
 
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::ScenarioResult result = session::run_scenario(walk);
+  const auto& accesses = result.clients.front().accesses;
 
   Row row;
   row.scenario = s;
-  row.accesses = result.accesses.size();
+  row.accesses = accesses.size();
   row.failed = result.failed_accesses;
-  row.mean_s = result.summary.mean_total_s;
+  row.mean_s = result.clients.front().summary.mean_total_s;
 
   std::vector<double> totals;
-  totals.reserve(result.accesses.size());
-  for (const auto& rec : result.accesses) totals.push_back(to_seconds(rec.total()));
+  totals.reserve(accesses.size());
+  for (const auto& rec : accesses) totals.push_back(to_seconds(rec.total()));
   std::sort(totals.begin(), totals.end());
   if (!totals.empty())
     row.p99_s = totals[(totals.size() - 1) * 99 / 100];
@@ -169,7 +171,7 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   rows.reserve(scenarios.size());
-  for (const Scenario& s : scenarios) rows.push_back(run_scenario(s, smoke));
+  for (const Scenario& s : scenarios) rows.push_back(run_row(s, smoke));
 
   if (json) {
     std::printf("{\"bench\":\"prefetch\",\"mode\":\"%s\",\"results\":[",

@@ -20,12 +20,13 @@ namespace {
 
 using namespace lon;
 
-double smooth_fraction(const session::ExperimentResult& result, double threshold_s) {
+double smooth_fraction(const std::vector<streaming::AccessRecord>& accesses,
+                       double threshold_s) {
   std::size_t smooth = 0;
-  for (const auto& a : result.accesses) {
+  for (const auto& a : accesses) {
     if (to_seconds(a.total()) <= threshold_s) ++smooth;
   }
-  return static_cast<double>(smooth) / static_cast<double>(result.accesses.size());
+  return static_cast<double>(smooth) / static_cast<double>(accesses.size());
 }
 
 }  // namespace
@@ -53,8 +54,9 @@ int main() {
       session::ExperimentConfig cfg = bench::small_config(200, which);
       cfg.wan_bandwidth_bps = 50e6;
       cfg.dwell = from_seconds(dwell);
-      const auto result = session::run_experiment(cfg);
-      const double smooth = smooth_fraction(result, kThresholdSeconds);
+      const auto result = session::run_scenario(session::single_walk(cfg));
+      const double smooth =
+          smooth_fraction(result.clients.front().accesses, kThresholdSeconds);
       if (smooth >= 0.95) qgr = dwell;  // slowest-to-fastest order: keep last
       std::printf(" %8.2f", smooth);
     }

@@ -19,23 +19,24 @@ inline void run_latency_figure(std::size_t resolution, const char* figure,
        {session::Case::kLanData, session::Case::kWanStreaming,
         session::Case::kWanWithLanDepot}) {
     session::ExperimentConfig cfg = paper_config(resolution, which);
-    const session::ExperimentResult result = session::run_experiment(cfg);
+    const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
     write_observability(result, std::string(figure) + "-" + session::to_string(which));
+    const auto& walk = result.clients.front();
 
     std::printf("\n# %s — seconds per access\n", session::to_string(which));
-    for (std::size_t n = 0; n < result.accesses.size(); ++n) {
-      std::printf("%zu\t%.4f\n", n + 1, to_seconds(result.accesses[n].total()));
+    for (std::size_t n = 0; n < walk.accesses.size(); ++n) {
+      std::printf("%zu\t%.4f\n", n + 1, to_seconds(walk.accesses[n].total()));
     }
     std::printf("# summary: ");
     std::printf(
         "mean=%.3fs phase2_mean=%.3fs max=%.3fs initial_phase=%zu "
         "wan_rate_initial=%.2f hit_rate_initial=%.2f hits=%zu lan=%zu wan=%zu "
         "staged=%zu\n",
-        result.summary.mean_total_s, result.summary.mean_total_phase2_s,
-        result.summary.max_total_s, result.summary.initial_phase,
-        result.summary.wan_rate_initial, result.summary.hit_rate_initial,
-        result.summary.hits, result.summary.lan, result.summary.wan,
-        result.staged_at_end);
+        walk.summary.mean_total_s, walk.summary.mean_total_phase2_s,
+        walk.summary.max_total_s, walk.summary.initial_phase,
+        walk.summary.wan_rate_initial, walk.summary.hit_rate_initial, walk.summary.hits,
+        walk.summary.lan, walk.summary.wan,
+        static_cast<std::size_t>(result.obs->metrics.counter_total("agent.staged")));
   }
 }
 

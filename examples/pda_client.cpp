@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 
 int main() {
   using namespace lon;
@@ -36,14 +36,15 @@ int main() {
 
   std::printf("PDA session: 150x150 display, 4 MB/s decompression, no local cache,\n"
               "WAN database with aggressive LAN-depot prestaging...\n\n");
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::AccessSummary summary =
+      session::run_scenario(session::single_walk(cfg)).clients.front().summary;
 
-  session::print_summary(std::cout, "pda over case 3", result.summary);
+  session::print_summary(std::cout, "pda over case 3", summary);
 
-  const double worst = result.summary.max_total_s;
+  const double worst = summary.max_total_s;
   std::printf("\nworst view-set swap: %.2f s; decompression share: %.2f s mean\n",
-              worst, result.summary.mean_decompress_s);
-  if (result.summary.mean_total_phase2_s < 1.5) {
+              worst, summary.mean_decompress_s);
+  if (summary.mean_total_phase2_s < 1.5) {
     std::printf("=> after the initial phase the PDA browses interactively, as the\n"
                 "   paper argues: the agent and depots absorb all the heavy work.\n");
   } else {

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 
 int main(int argc, char** argv) {
   using namespace lon;
@@ -35,23 +35,27 @@ int main(int argc, char** argv) {
 
   std::printf("running %s with %zu view-set accesses over the simulated WAN...\n\n",
               session::to_string(cfg.which), accesses);
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
+  const auto& walk = result.clients.front();
 
   std::printf("%-4s %-8s %-10s %10s %12s %12s\n", "n", "viewset", "served-by",
               "comm (s)", "decomp (s)", "total (s)");
-  for (std::size_t n = 0; n < result.accesses.size(); ++n) {
-    const auto& a = result.accesses[n];
+  for (std::size_t n = 0; n < walk.accesses.size(); ++n) {
+    const auto& a = walk.accesses[n];
     std::printf("%-4zu %-8s %-10s %10.4f %12.4f %12.4f\n", n + 1, a.id.key().c_str(),
                 streaming::to_string(a.cls), to_seconds(a.comm_latency),
                 to_seconds(a.decompress_time), to_seconds(a.total()));
   }
 
   std::printf("\n");
-  session::print_summary(std::cout, to_string(cfg.which), result.summary);
+  session::print_summary(std::cout, to_string(cfg.which), walk.summary);
+  const auto compressed = static_cast<double>(result.db_compressed_bytes);
   std::printf("database: %.1f MB compressed (%.1fx); %zu/%zu view sets prestaged\n",
-              result.db_compressed_bytes / 1e6, result.compression_ratio,
-              result.staged_at_end,
+              compressed / 1e6,
+              compressed > 0 ? static_cast<double>(result.db_uncompressed_bytes) / compressed
+                             : 0.0,
+              static_cast<std::size_t>(result.obs->metrics.counter_total("agent.staged")),
               lightfield::SphericalLattice(cfg.lattice).view_set_count());
-  std::printf("virtual session time: %.1f s\n", to_seconds(result.script_duration));
+  std::printf("virtual session time: %.1f s\n", to_seconds(result.duration));
   return 0;
 }

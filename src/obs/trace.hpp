@@ -18,7 +18,7 @@
 // The exporter writes Chrome trace_event JSON: open the file in
 // chrome://tracing or https://ui.perfetto.dev. Tracing is off by default
 // (begin() returns the null id and records nothing) because the global
-// context lives for the whole process; session::run_experiment enables it on
+// context lives for the whole process; session::run_scenario enables it on
 // its per-run context.
 #pragma once
 

@@ -13,19 +13,17 @@
 // attached to the client agent by a 1 Gb/s LAN. Client and client agent are
 // distinct machines on that LAN. In all three cases the same quadrant
 // prefetch policy runs on the client agent.
+//
+// One browse of one case is `run_scenario(single_walk(config))`
+// (session/scenario.hpp): a one-viewer Scenario replaying the standard
+// seeded walk.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "fault/fault.hpp"
-#include "obs/obs.hpp"
 #include "lightfield/lattice.hpp"
-#include "session/cursor.hpp"
-#include "session/metrics.hpp"
 #include "streaming/client.hpp"
 #include "streaming/client_agent.hpp"
 #include "streaming/types.hpp"
@@ -48,16 +46,11 @@ struct ExperimentConfig {
   SimDuration dwell = 2 * kSecond;   ///< user pause between movements
   std::size_t accesses = 58;         ///< view-set requests the script generates
   std::uint64_t seed = 2003;
-  /// When set, replaces the standard seeded walk (dwell/accesses/seed are
-  /// then ignored) — how the policy bench replays its scripted cursor walks.
-  std::optional<CursorScript> script;
 
-  // Content policy: true renders every view set (slow); false renders only
-  // the view sets the script touches and publishes size-matched filler for
-  // the rest.
-  bool full_content = false;
-  // Publish filler for everything and skip client-side decoding entirely —
-  // for communication-latency-only studies (set client.decode = false too).
+  // Content policy: real pixels for the view sets the scripts touch,
+  // size-matched filler for the rest. all_filler publishes filler for
+  // everything and skips client-side decoding entirely — for
+  // communication-latency-only studies (set client.decode = false too).
   bool all_filler = false;
 
   // Client behaviour.
@@ -68,17 +61,15 @@ struct ExperimentConfig {
   std::uint64_t agent_cache_bytes = 512ull << 20;
   bool prefetch = true;
   /// Policy engine: which prefetch scheduler and cache replacement policy the
-  /// agent runs, plus the predictive scheduler's budget/horizon knobs.
+  /// agent runs, plus the predictive scheduler's budget knobs.
   policy::PrefetchStrategy prefetch_strategy = policy::PrefetchStrategy::kQuadrant;
   policy::EvictionStrategy eviction = policy::EvictionStrategy::kLru;
-  SimDuration prefetch_horizon = 2 * kSecond;
   std::size_t prefetch_max_inflight = 0;   ///< 0 = unlimited
   std::uint64_t prefetch_max_bytes = 0;    ///< 0 = unlimited
   int staging_concurrency = 4;
   streaming::ClientAgentConfig::StagingOrder staging_order =
       streaming::ClientAgentConfig::StagingOrder::kProximity;
   bool pause_staging_on_miss = false;
-  int wan_streams = 4;
 
   // Topology.
   double wan_bandwidth_bps = 100e6;
@@ -115,7 +106,6 @@ struct ExperimentConfig {
   /// staged copies are discoverable site-wide and concurrent restages of
   /// the same view set coalesce into a single WAN fetch.
   bool site_cache = false;
-  std::uint64_t site_cache_bytes = 0;  ///< site index byte budget (0 = unbounded)
   /// DVS directory shards (lookup tables partitioned by ViewSetId hash).
   std::size_t dvs_shards = 1;
   /// Serial per-query service time a DVS shard charges (0 = uncontended).
@@ -123,8 +113,8 @@ struct ExperimentConfig {
   /// > 0: the publisher runs a repair sweep this often, probing a slice of
   /// the database's exNodes and re-replicating extents that lost replicas
   /// to crashed depots (healed exNodes are re-installed into the DVS).
+  /// Repairs restore publish_replicas live copies per extent.
   SimDuration repair_interval = 0;
-  int repair_target_replicas = 0;    ///< 0 = publish_replicas
   std::size_t repair_batch = 4;      ///< exNodes probed per sweep
 
   // Concurrency (the parallel demand path). The defaults reproduce the
@@ -161,31 +151,8 @@ struct ExperimentConfig {
   int hot_report_threshold = 0;  ///< sheds per view set before reporting hot
   /// Run the server-side generator/augmenter behind the DVS.
   bool server_agent = false;
-  streaming::AdmissionConfig server_admission;  ///< generation-tier admission
   int augment_threshold = 0;      ///< hot reports before fanning replicas out
   SimDuration augment_cooldown = 60 * kSecond;  ///< per-view-set augment hysteresis
 };
-
-struct ExperimentResult {
-  std::vector<streaming::AccessRecord> accesses;
-  AccessSummary summary;
-  std::size_t staged_at_end = 0;       ///< view sets prestaged when the run ended
-  bool staging_complete = false;
-  SimTime script_duration = 0;         ///< virtual time from first to last access
-  double db_compressed_bytes = 0;      ///< published database size
-  double db_uncompressed_bytes = 0;
-  double compression_ratio = 0;
-  std::size_t failed_accesses = 0;     ///< view requests that never delivered
-  /// The run's private observability context: every component reported into
-  /// `obs->metrics` (read a counter with counter_total("agent.hits")), and
-  /// `obs->trace` (enabled for experiments) holds the full span tree —
-  /// export it with write_chrome_trace / write_jsonl.
-  std::shared_ptr<obs::Context> obs;
-};
-
-/// Builds the full system for one case, publishes the database, replays the
-/// orchestrated cursor script (each movement waits for the view it needs,
-/// then dwells), and returns the access trace.
-ExperimentResult run_experiment(const ExperimentConfig& config);
 
 }  // namespace lon::session

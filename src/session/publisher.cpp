@@ -68,10 +68,11 @@ PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
       static_cast<double>(real_bytes) / static_cast<double>(real_count);
 
   // Pass 2: synthesize filler for the remainder.
-  Rng rng(options.filler_seed);
+  // Filler sizes vary +-10% around the measured mean, from a fixed seed.
+  Rng rng(9);
   for (auto& [id, payload] : payloads) {
     if (!payload.empty()) continue;
-    const double jitter = 1.0 + options.filler_size_jitter * (2.0 * rng.uniform() - 1.0);
+    const double jitter = 1.0 + 0.1 * (2.0 * rng.uniform() - 1.0);
     payload = make_filler(
         static_cast<std::uint64_t>(std::max(1.0, mean_compressed * jitter)), rng);
   }
@@ -91,8 +92,7 @@ PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
       lors::UploadOptions upload;
       upload.depots = options.depots;
       upload.replicas = options.replicas;
-      upload.block_bytes = options.block_bytes;
-      upload.lease = options.lease;
+      upload.lease = 24 * 3600 * kSecond;  // a day: outlives any session
       upload.net = options.net;
       lors.upload_async(server_node, std::move(payload), upload,
                         [&, id = id](const lors::UploadResult& up) {

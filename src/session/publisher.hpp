@@ -24,8 +24,6 @@ namespace lon::session {
 struct PublishOptions {
   std::vector<std::string> depots;   ///< upload stripe targets
   int replicas = 1;
-  std::uint64_t block_bytes = 512 * 1024;
-  SimDuration lease = 24 * 3600 * kSecond;
   sim::TransferOptions net;
 
   /// Build real pixel content for these ids only; empty = all ids real
@@ -35,9 +33,6 @@ struct PublishOptions {
   /// studies where the client never decodes). One real view set is still
   /// built to calibrate the filler size.
   bool all_filler = false;
-  std::uint64_t filler_seed = 9;
-  /// Filler sizes vary this much (fractionally) around the measured mean.
-  double filler_size_jitter = 0.1;
 
   /// > 0: real view sets are published as chunked (LFZC) containers of this
   /// chunk size — the format the client agent's decompress pipeline can

@@ -9,11 +9,22 @@
 
 namespace lon::session {
 
+const char* to_string(Case c) {
+  switch (c) {
+    case Case::kLanData:
+      return "case1-data-in-lan";
+    case Case::kWanStreaming:
+      return "case2-data-in-wan";
+    case Case::kWanWithLanDepot:
+      return "case3-with-lan-depot";
+  }
+  return "?";
+}
+
 ScenarioResult run_scenario(const Scenario& scenario) {
   if (scenario.clients.empty()) {
     throw std::invalid_argument("run_scenario: no clients");
   }
-  const auto wall_start = std::chrono::steady_clock::now();
   const ExperimentConfig& config = scenario.base;
   const int n_clients = static_cast<int>(scenario.clients.size());
   System sys(config, n_clients);
@@ -21,7 +32,8 @@ ScenarioResult run_scenario(const Scenario& scenario) {
   std::vector<const CursorScript*> script_ptrs;
   script_ptrs.reserve(scenario.clients.size());
   for (const ScenarioClient& sc : scenario.clients) script_ptrs.push_back(&sc.script);
-  sys.publish(config, script_ptrs);
+  const PublishResult& published = sys.publish(config, script_ptrs);
+  const auto wall_start = std::chrono::steady_clock::now();
 
   sys.make_agent(config);
   sys.make_server_agent(config);
@@ -124,6 +136,8 @@ ScenarioResult run_scenario(const Scenario& scenario) {
                    : 0.0;
   result.duration = script_end - script_start;
   result.staging_complete = sys.staging_complete();
+  result.db_compressed_bytes = published.compressed_bytes;
+  result.db_uncompressed_bytes = published.uncompressed_bytes;
 
   // Simulator-core cost, surfaced both on the result (exact-match gating)
   // and through the obs registry (dashboards, artifact dumps).
@@ -172,6 +186,17 @@ void filler_content(ExperimentConfig& base) {
 }
 
 }  // namespace
+
+Scenario single_walk(const ExperimentConfig& config) {
+  Scenario s;
+  s.name = to_string(config.which);
+  s.base = config;
+  ScenarioClient sc;
+  sc.script = CursorScript::standard(lightfield::SphericalLattice(config.lattice),
+                                     config.dwell, config.accesses, config.seed);
+  s.clients.push_back(std::move(sc));
+  return s;
+}
 
 Scenario staggered_walks(const ExperimentConfig& base, int clients, std::size_t accesses) {
   Scenario s;

@@ -3,18 +3,23 @@
 // A Scenario is one named, fully-scripted run: an ExperimentConfig plus a
 // per-client cursor script and start offset. run_scenario assembles the
 // session::System, publishes the database, and drives every script to
-// completion; it is the one entry point for multi-client runs. The canned
-// builders below range from plain staggered walks (the scalability bench)
-// to compositions of the robustness machinery (faults + retries + repair,
+// completion; it is the one entry point for every run, a single viewer
+// included (the paper's three cases are `run_scenario(single_walk(config))`).
+// The canned builders below range from one seeded walk and plain staggered
+// walks (the scalability bench) to compositions of the robustness machinery (faults + retries + repair,
 // admission + degradation + augmentation, staging leases, site caching)
 // whose virtual-time metrics ci/perf_gate.py hard-fails on.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
+#include "session/cursor.hpp"
 #include "session/experiment.hpp"
+#include "session/metrics.hpp"
 
 namespace lon::session {
 
@@ -68,6 +73,11 @@ struct ScenarioResult {
   SimTime duration = 0;  ///< first client start to last completion
   bool staging_complete = false;
 
+  /// The published full-resolution database: bytes uploaded and the pixel
+  /// bytes they represent.
+  std::uint64_t db_compressed_bytes = 0;
+  std::uint64_t db_uncompressed_bytes = 0;
+
   // Simulator-core cost counters (deterministic; the scale gate matches
   // them exactly). Also exported through the obs registry as
   // sim.events_executed / net.reallocs / net.realloc_flows_touched.
@@ -75,7 +85,10 @@ struct ScenarioResult {
   std::uint64_t sim_scheduled = 0;  ///< events scheduled (incl. cancelled)
   std::uint64_t net_reallocs = 0;   ///< max-min solves run
   std::uint64_t net_realloc_flows_touched = 0;  ///< flows re-rated, summed
-  double wall_s = 0.0;  ///< host wall-clock of the run — NOT deterministic
+  /// Host wall-clock from the end of publication to the end of the run —
+  /// NOT deterministic. Publishing (encode, CRC) is excluded, so
+  /// sim_events / wall_s measures the simulator, not the codec.
+  double wall_s = 0.0;
 
   /// Every component's metrics for the run. Counters sum over instances by
   /// name: obs->metrics.counter_total("agent.hits") is the site-wide total.
@@ -90,6 +103,12 @@ ScenarioResult run_scenario(const Scenario& scenario);
 //
 // Callers may tweak the returned Scenario (the chaos-soak test flips on real
 // content + decoding).
+
+/// One viewer replaying `config`'s standard seeded walk
+/// (CursorScript::standard(lattice, dwell, accesses, seed)) from the script
+/// start: the paper's section 4.2-4.3 browse. To replay another walk, assign
+/// `clients[0].script`.
+Scenario single_walk(const ExperimentConfig& config);
 
 /// `clients` viewers on `base`'s topology, each replaying its own standard
 /// seeded walk of `accesses` steps (client i uses seed 100 + i), started

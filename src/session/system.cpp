@@ -90,8 +90,7 @@ System::System(const ExperimentConfig& config, int client_count)
   }
 }
 
-PublishResult& System::publish(const ExperimentConfig& config,
-                               const std::vector<const CursorScript*>& scripts) {
+PublishOptions System::publish_options(const ExperimentConfig& config) const {
   PublishOptions publish;
   publish.depots = (config.which == Case::kLanData) ? lan_depots : wan_depots;
   publish.replicas = config.publish_replicas;
@@ -99,7 +98,13 @@ PublishResult& System::publish(const ExperimentConfig& config,
   publish.all_filler = config.all_filler;
   publish.chunk_bytes = config.publish_chunk_bytes;
   publish.pool = config.pool;
-  if (!config.full_content && !config.all_filler) {
+  if (!config.all_filler) publish.real_ids = visited_;
+  return publish;
+}
+
+PublishResult& System::publish(const ExperimentConfig& config,
+                               const std::vector<const CursorScript*>& scripts) {
+  if (!config.all_filler) {
     std::set<std::pair<int, int>> visited;
     for (const CursorScript* script : scripts) {
       for (const CursorStep& step : script->steps()) {
@@ -107,14 +112,12 @@ PublishResult& System::publish(const ExperimentConfig& config,
         visited.insert({id.row, id.col});
       }
     }
-    for (const auto& [row, col] : visited) {
-      publish.real_ids.push_back({row, col});
-      visited_.push_back({row, col});
-    }
+    for (const auto& [row, col] : visited) visited_.push_back({row, col});
   }
-  published = publish_database(sim, lors, *dvs, source, server_node, publish);
+  published =
+      publish_database(sim, lors, *dvs, source, server_node, publish_options(config));
   if (published.failed > 0) {
-    throw std::runtime_error("run_experiment: database publication failed");
+    throw std::runtime_error("System::publish: database publication failed");
   }
   ensure_lod(config);
   return published;
@@ -145,18 +148,10 @@ void System::ensure_lod(const ExperimentConfig& config) {
     tier.dvs = std::make_unique<streaming::DvsServer>(
         sim, net, dvs_node, tier.source->lattice(), streaming::DvsConfig{}, obs.get());
 
-    PublishOptions publish;
-    publish.depots = (config.which == Case::kLanData) ? lan_depots : wan_depots;
-    publish.replicas = config.publish_replicas;
-    publish.net.streams = 8;
-    publish.all_filler = config.all_filler;
-    publish.chunk_bytes = config.publish_chunk_bytes;
-    publish.pool = config.pool;
-    if (!config.full_content && !config.all_filler) publish.real_ids = visited_;
-    const PublishResult coarse_published =
-        publish_database(sim, lors, *tier.dvs, *tier.source, server_node, publish);
+    const PublishResult coarse_published = publish_database(
+        sim, lors, *tier.dvs, *tier.source, server_node, publish_options(config));
     if (coarse_published.failed > 0) {
-      throw std::runtime_error("run_experiment: coarse-tier publication failed");
+      throw std::runtime_error("System::publish: coarse-tier publication failed");
     }
     lod_tiers.push_back(std::move(tier));
   }
@@ -168,7 +163,6 @@ void System::make_agent(const ExperimentConfig& config) {
   agent_config.prefetch = config.prefetch;
   agent_config.prefetch_strategy = config.prefetch_strategy;
   agent_config.eviction = config.eviction;
-  agent_config.prefetch_horizon = config.prefetch_horizon;
   agent_config.prefetch_max_inflight = config.prefetch_max_inflight;
   agent_config.prefetch_max_bytes = config.prefetch_max_bytes;
   agent_config.staging = (config.which == Case::kWanWithLanDepot);
@@ -176,7 +170,6 @@ void System::make_agent(const ExperimentConfig& config) {
   agent_config.staging_concurrency = config.staging_concurrency;
   agent_config.staging_order = config.staging_order;
   agent_config.pause_staging_on_miss = config.pause_staging_on_miss;
-  agent_config.wan_net.streams = config.wan_streams;
   agent_config.retry = config.retry;
   agent_config.max_refetch = config.max_refetch;
   agent_config.staging_lease = config.staging_lease;
@@ -198,9 +191,8 @@ void System::make_agent(const ExperimentConfig& config) {
   agent_config.latency = config.fetch_latency;
   agent_config.hot_report_threshold = config.hot_report_threshold;
   if (config.site_cache) {
-    streaming::SiteCacheConfig site_config;
-    site_config.capacity_bytes = config.site_cache_bytes;
-    site_cache = std::make_unique<streaming::SiteCache>(sim, site_config, obs.get());
+    site_cache = std::make_unique<streaming::SiteCache>(sim, streaming::SiteCacheConfig{},
+                                                        obs.get());
     agent_config.site_cache = site_cache.get();
   }
   const int count = std::max(1, config.site_agents);
@@ -212,7 +204,6 @@ void System::make_agent(const ExperimentConfig& config) {
         sim, net, fabric, lors, *dvs, source.lattice(), node, agent_config,
         obs.get()));
   }
-  agent = agents.front().get();
 }
 
 void System::make_clients(const ExperimentConfig& config) {
@@ -236,13 +227,13 @@ bool System::staging_complete() const {
 
 void System::make_server_agent(const ExperimentConfig& config) {
   if (!config.server_agent) return;
+  const PublishOptions publish = publish_options(config);
   streaming::ServerAgentConfig sa;
-  sa.depots = (config.which == Case::kLanData) ? lan_depots : wan_depots;
-  sa.replicas = config.publish_replicas;
-  sa.net.streams = 8;
-  sa.chunk_bytes = config.publish_chunk_bytes;
-  sa.pool = config.pool;
-  sa.admission = config.server_admission;
+  sa.depots = publish.depots;
+  sa.replicas = publish.replicas;
+  sa.net = publish.net;
+  sa.chunk_bytes = publish.chunk_bytes;
+  sa.pool = publish.pool;
   sa.deadline = config.interactivity_deadline;
   sa.augment_threshold = config.augment_threshold;
   sa.augment_cooldown = config.augment_cooldown;
@@ -271,20 +262,16 @@ void System::start_repair(const ExperimentConfig& config) {
   if (config.repair_interval <= 0) return;
   repair_interval_ = config.repair_interval;
   repair_batch_ = config.repair_batch;
-  repair_target_replicas_ = config.repair_target_replicas > 0
-                                ? config.repair_target_replicas
-                                : config.publish_replicas;
-  repair_depots_ = (config.which == Case::kLanData) ? lan_depots : wan_depots;
+  const PublishOptions publish = publish_options(config);
+  repair_options_.target_replicas = publish.replicas;
+  repair_options_.candidate_depots = publish.depots;
   repair_sweep_ = [this] {
     if (published.exnodes.empty()) return;
     auto batch = std::make_shared<std::size_t>(
         std::min(repair_batch_, published.exnodes.size()));
     for (std::size_t i = 0; i < *batch; ++i) {
       auto& [id, owned] = published.exnodes[repair_cursor_++ % published.exnodes.size()];
-      lors::RepairOptions options;
-      options.target_replicas = repair_target_replicas_;
-      options.candidate_depots = repair_depots_;
-      lors.repair_async(server_node, owned, options,
+      lors.repair_async(server_node, owned, repair_options_,
                         [this, batch, id = id](const lors::RepairResult& r) {
                           if (r.status != lors::LorsStatus::kCancelled) {
                             for (auto& [pid, pnode] : published.exnodes) {

@@ -1,6 +1,6 @@
-// The assembled experiment topology — extracted from experiment.cpp so
-// scenario compositions (session/scenario.hpp) can reuse the exact same
-// system the canonical experiments run on.
+// The assembled experiment topology that run_scenario (session/scenario.hpp)
+// drives — the paper's three cases as `run_scenario(single_walk(config))`,
+// and every multi-client composition on the same system.
 //
 // The paper's topology (section 4.3) with `client_count` client machines on
 // the LAN, all sharing one client agent. Node-creation order for one client
@@ -57,8 +57,6 @@ struct System {
   std::unique_ptr<streaming::SiteCache> site_cache;
   /// All co-sited client agents (config.site_agents of them; at least one).
   std::vector<std::unique_ptr<streaming::ClientAgent>> agents;
-  /// The first (historical) agent — the single-agent topology's only one.
-  streaming::ClientAgent* agent = nullptr;
   std::vector<std::unique_ptr<streaming::Client>> clients;
   /// Runtime generator + replica augmenter (config.server_agent only).
   std::unique_ptr<streaming::ServerAgent> server_agent;
@@ -112,6 +110,11 @@ struct System {
                   SimTime script_start);
 
  private:
+  /// What every upload of this case shares: the home depots (the LAN depots
+  /// in case 1, the WAN depots otherwise), replica count, container format
+  /// and content policy. The database, each coarse tier, the runtime
+  /// generators and the repair daemon all start from it.
+  [[nodiscard]] PublishOptions publish_options(const ExperimentConfig& config) const;
   void ensure_lod(const ExperimentConfig& config);
 
   std::vector<lightfield::ViewSetId> visited_;  ///< content policy's real ids
@@ -119,8 +122,7 @@ struct System {
   std::function<void()> repair_sweep_;
   SimDuration repair_interval_ = 0;
   std::size_t repair_batch_ = 4;
-  int repair_target_replicas_ = 1;
-  std::vector<std::string> repair_depots_;
+  lors::RepairOptions repair_options_;
 };
 
 }  // namespace lon::session

@@ -91,9 +91,7 @@ ClientAgent::ClientAgent(sim::Simulator& sim, sim::Network& net, ibp::Fabric& fa
                scope_.gauge("agent.demand_wan_active")},
       cache_(config_.cache_bytes),
       admission_(config_.admission),
-      motion_(config_.motion),
-      latency_(config_.latency),
-      lod_selector_(policy::LodSelector::Config{config_.lod_headroom}) {
+      latency_(config_.latency) {
   if (config_.staging && config_.lan_depots.empty()) {
     throw std::invalid_argument("ClientAgent: staging enabled without LAN depots");
   }
@@ -297,7 +295,9 @@ AccessClass ClientAgent::classify(const exnode::ExNode& exnode) const {
     }
   }
   if (best == std::numeric_limits<SimDuration>::max()) return AccessClass::kWan;
-  return best <= config_.lan_threshold ? AccessClass::kLanDepot : AccessClass::kWan;
+  // Replicas this close count as "on the client's LAN".
+  constexpr SimDuration kLanThreshold = 5 * kMillisecond;
+  return best <= kLanThreshold ? AccessClass::kLanDepot : AccessClass::kWan;
 }
 
 policy::FetchClass ClientAgent::fetch_class_of(const lightfield::ViewSetId& id) const {
@@ -449,7 +449,8 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
   if (cls == AccessClass::kWan) metrics_.demand_wan_active.add(1);
 
   lors::DownloadOptions options;
-  options.net = (cls == AccessClass::kLanDepot) ? config_.lan_net : config_.wan_net;
+  // WAN downloads stripe over four parallel streams, LAN-depot reads over two.
+  options.net.streams = (cls == AccessClass::kLanDepot) ? 2 : 4;
   options.retry = config_.retry;
   options.parent_span = it != inflight_.end() ? it->second.span : 0;
   // CPU work off the simulator thread: stripe verification batches across
@@ -762,7 +763,7 @@ void ClientAgent::run_prefetch(const Spherical& dir) {
   ctx.cursor_vs = cursor_vs_;
   ctx.quadrant = lattice_.quadrant_of(dir);
   ctx.now = sim_.now();
-  ctx.horizon = config_.prefetch_horizon;
+  ctx.horizon = 2 * kSecond;  // how far ahead the predictive policy schedules
   ctx.budget = slots;
   ctx.is_resident = [this](const lightfield::ViewSetId& id) {
     return cache_.contains(id) || inflight_.contains(id);
@@ -979,7 +980,7 @@ void ClientAgent::stage_one(const lightfield::ViewSetId& id) {
     options.preferred = true;  // downloads should find the LAN replica first
     options.lease = config_.staging_lease;
     options.alloc_type = ibp::AllocType::kSoft;  // revocable: polite sharing
-    options.net = config_.staging_net;
+    options.net.streams = 4;  // staging copies stripe like WAN downloads
     options.parent_span = span;
     lors_.augment_async(node_, exnode, options,
                         [this, id, span](const lors::AugmentResult& result) {

@@ -84,10 +84,7 @@ struct ClientAgentConfig {
   /// Cache replacement: LRU (paper), angular distance, or the hybrid that
   /// protects the demand working set from prefetch pollution.
   policy::EvictionStrategy eviction = policy::EvictionStrategy::kLru;
-  policy::MotionConfig motion;                    ///< cursor motion model knobs
   policy::FetchLatencyEstimator::Config latency;  ///< per-class latency priors
-  /// How far ahead (virtual time) the predictive policy may schedule.
-  SimDuration prefetch_horizon = 2 * kSecond;
   /// Concurrent prefetch fetches allowed (0 = unlimited, the legacy
   /// behaviour of issuing every quadrant target).
   std::size_t prefetch_max_inflight = 0;
@@ -104,14 +101,6 @@ struct ClientAgentConfig {
   /// while processing a miss may reduce this effect."
   bool pause_staging_on_miss = false;
   SimDuration staging_lease = 24 * 3600 * kSecond;
-
-  sim::TransferOptions wan_net{.weight = 1.0, .streams = 4};
-  sim::TransferOptions lan_net{.weight = 1.0, .streams = 2};
-  sim::TransferOptions staging_net{.weight = 1.0, .streams = 4};
-
-  /// Replicas closer than this count as "on the client's LAN" when
-  /// classifying where an access was served from.
-  SimDuration lan_threshold = 5 * kMillisecond;
 
   // --- Self-healing ---------------------------------------------------------
 
@@ -190,9 +179,6 @@ struct ClientAgentConfig {
   /// After a coarse demand serve, fetch the full-resolution bytes in the
   /// background and swap them into the cache (progressive refinement).
   bool lod_refine = true;
-  /// A tier is only picked if its predicted fetch fits within this fraction
-  /// of the remaining deadline budget.
-  double lod_headroom = 0.8;
 };
 
 class ClientAgent {
@@ -417,7 +403,7 @@ class ClientAgent {
                     RichDeliverCallback cb, obs::SpanId parent);
 
   /// Where a download of this exNode will be served from: LAN if the best
-  /// reachable replica across all extents is within lan_threshold.
+  /// reachable replica across all extents is within 5 ms.
   [[nodiscard]] AccessClass classify(const exnode::ExNode& exnode) const;
 
   /// Best latency-class guess for fetching `id` right now (staged/known

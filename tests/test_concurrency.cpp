@@ -503,14 +503,17 @@ TEST(PipelinedExperiment, OverlapOnlyShrinksDecompressCharges) {
   // Chunked containers small enough that one view set spans several chunks.
   cfg.publish_chunk_bytes = 1024;
 
-  const session::ExperimentResult serial = session::run_experiment(cfg);
+  const session::ScenarioResult serial_run = session::run_scenario(session::single_walk(cfg));
 
   session::ExperimentConfig pipelined_cfg = cfg;
   ThreadPool pool(4);
   pipelined_cfg.pool = &pool;
   pipelined_cfg.pipeline_decompress = true;
   pipelined_cfg.pipeline_inflight = 4;
-  const session::ExperimentResult pipelined = session::run_experiment(pipelined_cfg);
+  const session::ScenarioResult pipelined_run =
+      session::run_scenario(session::single_walk(pipelined_cfg));
+  const auto& serial = serial_run.clients[0];
+  const auto& pipelined = pipelined_run.clients[0];
 
   EXPECT_EQ(serial.failed_accesses, 0u);
   EXPECT_EQ(pipelined.failed_accesses, 0u);
@@ -532,10 +535,10 @@ TEST(PipelinedExperiment, OverlapOnlyShrinksDecompressCharges) {
   // makes the charged decompression larger.
   EXPECT_GE(overlapped, 1u);
   EXPECT_LE(pipelined_decompress, serial_decompress);
-  ASSERT_NE(pipelined.obs, nullptr);
-  EXPECT_EQ(pipelined.obs->metrics.counter_total("session.pipelined"),
+  ASSERT_NE(pipelined_run.obs, nullptr);
+  EXPECT_EQ(pipelined_run.obs->metrics.counter_total("session.pipelined"),
             static_cast<std::uint64_t>(overlapped));
-  EXPECT_EQ(serial.obs->metrics.counter_total("session.pipelined"), 0u);
+  EXPECT_EQ(serial_run.obs->metrics.counter_total("session.pipelined"), 0u);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "policy/lod.hpp"
-#include "session/experiment.hpp"
 #include "session/scenario.hpp"
 #include "streaming/cache.hpp"
 
@@ -23,8 +22,7 @@ using streaming::AccessClass;
 using streaming::ViewSetCache;
 
 /// Run-wide total of one counter over every component instance.
-template <typename Result>
-std::uint64_t total(const Result& r, const char* counter) {
+std::uint64_t total(const session::ScenarioResult& r, const char* counter) {
   return r.obs->metrics.counter_total(counter);
 }
 
@@ -226,7 +224,7 @@ TEST(LodLadder, LadderCoarseServesAreScopedAndLabelled) {
   cfg.interactivity_deadline = 1;
   cfg.lod_resolutions = {32};
 
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
   EXPECT_EQ(result.failed_accesses, 0u);
   EXPECT_GT(total(result, "agent.degrade_lod"), 0u);
   // Ladder mode does not refine in the background (lod_streaming off).
@@ -234,7 +232,7 @@ TEST(LodLadder, LadderCoarseServesAreScopedAndLabelled) {
   std::uint64_t max_coarse_bytes = 0;
   auto min_full_bytes = std::numeric_limits<std::uint64_t>::max();
   std::size_t coarse = 0;
-  for (const auto& a : result.accesses) {
+  for (const auto& a : result.clients[0].accesses) {
     if (a.lod > 0) {
       ++coarse;
       max_coarse_bytes = std::max(max_coarse_bytes, a.compressed_bytes);

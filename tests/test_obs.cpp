@@ -16,8 +16,8 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "session/experiment.hpp"
 #include "session/metrics.hpp"
+#include "session/scenario.hpp"
 #include "simnet/simulator.hpp"
 #include "streaming/cache.hpp"
 #include "util/thread_pool.hpp"
@@ -339,26 +339,27 @@ TEST(ObsExperiment, RegistryReproducesAccessAndRobustnessSummaries) {
   cfg.faults.crashes.push_back(
       {.depot = "ca-0", .at = 2 * kSecond, .restart_after = 6 * kSecond});
 
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
   ASSERT_NE(result.obs, nullptr);
   const obs::Registry& reg = result.obs->metrics;
+  const session::AccessSummary& summary = result.clients[0].summary;
 
   // session.* mirrors the AccessRecord trace exactly.
-  EXPECT_EQ(reg.counter_total("session.accesses"), result.summary.total);
-  EXPECT_EQ(reg.counter_total("session.hits"), result.summary.hits);
-  EXPECT_EQ(reg.counter_total("session.lan"), result.summary.lan);
-  EXPECT_EQ(reg.counter_total("session.wan"), result.summary.wan);
+  EXPECT_EQ(reg.counter_total("session.accesses"), summary.total);
+  EXPECT_EQ(reg.counter_total("session.hits"), summary.hits);
+  EXPECT_EQ(reg.counter_total("session.lan"), summary.lan);
+  EXPECT_EQ(reg.counter_total("session.wan"), summary.wan);
 
   std::int64_t total_ns = 0;
   std::int64_t comm_ns = 0;
-  for (const auto& r : result.accesses) {
+  for (const auto& r : result.clients[0].accesses) {
     total_ns += r.total();
     comm_ns += r.comm_latency;
   }
   const obs::LatencyHistogram* h =
       reg.find_histogram("session.total_ns", "component=client,inst=0");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), result.summary.total);
+  EXPECT_EQ(h->count(), summary.total);
   EXPECT_EQ(h->sum(), total_ns);
   EXPECT_EQ(reg.find_histogram("session.comm_ns", "component=client,inst=0")->sum(),
             comm_ns);
@@ -375,8 +376,8 @@ TEST(ObsExperiment, RegistryReproducesAccessAndRobustnessSummaries) {
 }
 
 TEST(ObsExperiment, TraceNestsTheFullDemandLifeline) {
-  const session::ExperimentResult result =
-      session::run_experiment(obs_experiment_config());
+  const session::ScenarioResult result =
+      session::run_scenario(session::single_walk(obs_experiment_config()));
   ASSERT_NE(result.obs, nullptr);
   const obs::Tracer& tracer = result.obs->trace;
   ASSERT_FALSE(tracer.spans().empty());

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,7 @@
 #include "policy/motion.hpp"
 #include "policy/prefetch.hpp"
 #include "session/cursor.hpp"
-#include "session/experiment.hpp"
+#include "session/scenario.hpp"
 #include "streaming/cache.hpp"
 #include "streaming/client_agent.hpp"
 #include "streaming/dvs.hpp"
@@ -451,21 +450,30 @@ session::ExperimentConfig policy_experiment(PrefetchStrategy strategy,
   return cfg;
 }
 
-std::uint64_t total(const session::ExperimentResult& r, const char* counter) {
+/// `cfg`'s one-viewer browse, replaying `script` instead of the standard walk.
+session::ScenarioResult replay(const session::ExperimentConfig& cfg,
+                               session::CursorScript script) {
+  session::Scenario walk = session::single_walk(cfg);
+  walk.clients[0].script = std::move(script);
+  return session::run_scenario(walk);
+}
+
+std::uint64_t total(const session::ScenarioResult& r, const char* counter) {
   return r.obs->metrics.counter_total(counter);
 }
 
-double hit_rate(const session::ExperimentResult& r) {
+double hit_rate(const session::ScenarioResult& r) {
   const std::uint64_t requests = total(r, "agent.requests");
   return requests > 0 ? static_cast<double>(total(r, "agent.hits")) /
                             static_cast<double>(requests)
                       : 0.0;
 }
 
-double p99_s(const session::ExperimentResult& r) {
+double p99_s(const session::ScenarioResult& r) {
+  const auto& accesses = r.clients[0].accesses;
   std::vector<double> totals;
-  totals.reserve(r.accesses.size());
-  for (const auto& rec : r.accesses) totals.push_back(to_seconds(rec.total()));
+  totals.reserve(accesses.size());
+  for (const auto& rec : accesses) totals.push_back(to_seconds(rec.total()));
   std::sort(totals.begin(), totals.end());
   return totals.empty() ? 0.0 : totals[(totals.size() - 1) * 99 / 100];
 }
@@ -479,10 +487,10 @@ TEST(PolicyEndToEnd, PredictiveBeatsQuadrantOnScriptedWalks) {
       session::ExperimentConfig cfg =
           policy_experiment(strategy, EvictionStrategy::kLru, 512ull << 20);
       const lightfield::SphericalLattice lattice(cfg.lattice);
-      cfg.script = std::string(script) == "smooth_pan"
-                       ? session::CursorScript::smooth_pan(lattice, cfg.dwell, 8)
-                       : session::CursorScript::reversal(lattice, cfg.dwell, 4);
-      const auto result = session::run_experiment(cfg);
+      const auto result =
+          replay(cfg, std::string(script) == "smooth_pan"
+                          ? session::CursorScript::smooth_pan(lattice, cfg.dwell, 8)
+                          : session::CursorScript::reversal(lattice, cfg.dwell, 4));
       EXPECT_EQ(result.failed_accesses, 0u);
       rates[i++] = hit_rate(result);
     }
@@ -495,14 +503,13 @@ TEST(PolicyEndToEnd, HybridEvictionPreservesDemandWorkingSetUnderPollution) {
   // Cache sized to ~4 filler view sets: predictive prefetch pressure evicts
   // the trail the reversal walk is about to retrace — unless the policy
   // protects it.
-  session::ExperimentResult results[2];
+  session::ScenarioResult results[2];
   int i = 0;
   for (const auto eviction : {EvictionStrategy::kLru, EvictionStrategy::kHybrid}) {
     session::ExperimentConfig cfg =
         policy_experiment(PrefetchStrategy::kPredictive, eviction, 1ull << 20);
     const lightfield::SphericalLattice lattice(cfg.lattice);
-    cfg.script = session::CursorScript::reversal(lattice, cfg.dwell, 4);
-    results[i++] = session::run_experiment(cfg);
+    results[i++] = replay(cfg, session::CursorScript::reversal(lattice, cfg.dwell, 4));
   }
   const auto& lru = results[0];
   const auto& hybrid = results[1];

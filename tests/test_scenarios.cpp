@@ -28,8 +28,7 @@ using streaming::DegradeLevel;
 using streaming::DeliveryStatus;
 
 /// Run-wide total of one counter over every component instance.
-template <typename Result>
-std::uint64_t total(const Result& r, const char* counter) {
+std::uint64_t total(const session::ScenarioResult& r, const char* counter) {
   return r.obs->metrics.counter_total(counter);
 }
 
@@ -147,7 +146,7 @@ TEST(DegradeLadder, DescendsOneRungPerMissStreakAndStopsAtTheFloor) {
   cfg.interactivity_deadline = 1;
   cfg.lod_resolutions = {32};
 
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
   EXPECT_EQ(total(result, "agent.downgrades"), 3u);
   EXPECT_EQ(total(result, "agent.upgrades"), 0u);
   // The floor suppresses anticipation entirely.
@@ -176,7 +175,7 @@ TEST(DegradeLadder, SustainedOnTimeDeliveriesClimbBackUp) {
   cfg.upgrade_after_hits = 2;
   cfg.interactivity_deadline = 100 * kMillisecond;
 
-  const session::ExperimentResult result = session::run_experiment(cfg);
+  const session::ScenarioResult result = session::run_scenario(session::single_walk(cfg));
   EXPECT_GT(total(result, "agent.downgrades"), 0u);
   EXPECT_GT(total(result, "agent.upgrades"), 0u);
   EXPECT_EQ(result.failed_accesses, 0u);
