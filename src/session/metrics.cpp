@@ -129,8 +129,7 @@ void print_robustness(std::ostream& os, const std::string& label,
      << "  overload: shed=" << n("agent.demand_shed")
      << " (queue=" << n("agent.shed_queue_full") << ", tokens=" << n("agent.shed_no_tokens")
      << ", deadline=" << n("agent.shed_deadline")
-     << ") generation_shed=" << n("server.generation_shed")
-     << " shed_retries=" << n("session.shed_retries") << '\n'
+     << ") shed_retries=" << n("session.shed_retries") << '\n'
      << "  degrade: down=" << n("agent.downgrades") << " up=" << n("agent.upgrades")
      << " lan_only=" << n("agent.degrade_lan_only") << " lod=" << n("agent.degrade_lod")
      << " demand_only=" << n("agent.degrade_demand_only") << '\n'

@@ -234,7 +234,6 @@ void System::make_server_agent(const ExperimentConfig& config) {
   sa.net = publish.net;
   sa.chunk_bytes = publish.chunk_bytes;
   sa.pool = publish.pool;
-  sa.deadline = config.interactivity_deadline;
   sa.augment_threshold = config.augment_threshold;
   sa.augment_cooldown = config.augment_cooldown;
   // Fan hot view sets toward the client site: augmented replicas land on

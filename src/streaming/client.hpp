@@ -26,6 +26,11 @@ namespace lon::streaming {
 struct ClientConfig {
   std::size_t display_resolution = 200;  ///< client frame size
   int keep_view_sets = 1;                ///< decompressed sets held locally
+  /// kModeled charges decompression from decompress_bytes_per_sec. kMeasured
+  /// charges the host's measured decode time to the virtual clock, so even
+  /// virtual durations follow host load (`remote_browse 1 10`: 38.2 s alone,
+  /// 38.4-38.5 s beside another bench). Between kMeasured runs only counts,
+  /// ids, access classes and communication latencies are comparable.
   enum class Timing { kModeled, kMeasured };
   Timing timing = Timing::kModeled;
   /// Modeled decompression throughput, in *uncompressed output* bytes/s.
@@ -41,11 +46,12 @@ struct ClientConfig {
   int modeled_decode_workers = 4;
   sim::TransferOptions lan_net;          ///< client <-> agent transfers
 
-  /// Retry discipline for kShed deliveries: the serving tier refused under
-  /// load, so the client waits out a jittered backoff and asks again —
-  /// crucially *without* touching the depot-failure machinery (no failover,
-  /// no exNode repair: nothing is broken, the system is busy). max_attempts
-  /// counts total tries; the default gives three backed-off retries.
+  /// Retry discipline for kShed deliveries: the agent's admission control
+  /// refused under load, so the client waits out a jittered backoff and asks
+  /// again — crucially *without* touching the depot-failure machinery (no
+  /// failover, no exNode repair: nothing is broken, the system is busy).
+  /// max_attempts counts total tries; the default gives three backed-off
+  /// retries.
   lors::RetryPolicy shed_retry{.max_attempts = 4, .base_backoff = 100 * kMillisecond};
   std::uint64_t shed_retry_seed = 0;     ///< jitter stream (0 = derive from node id)
 };

@@ -149,7 +149,7 @@ void ClientAgent::request_view_set(const lightfield::ViewSetId& id, sim::NodeId 
       return;
     }
   }
-  fetch(id, std::move(on_done), /*demand=*/true, parent_span);
+  fetch(id, std::move(on_done), Origin::kDemand, parent_span);
 }
 
 void ClientAgent::deliver_shed(const lightfield::ViewSetId& id, AdmissionDecision reason,
@@ -182,19 +182,9 @@ void ClientAgent::deliver_shed(const lightfield::ViewSetId& id, AdmissionDecisio
   });
 }
 
-void ClientAgent::request_view_set(const lightfield::ViewSetId& id,
-                                   DeliverCallback on_done, obs::SpanId parent_span) {
-  RichDeliverCallback rich;
-  if (on_done) {
-    rich = [cb = std::move(on_done)](const Delivery& delivery) {
-      cb(*delivery.payload, delivery.cls, delivery.comm_latency);
-    };
-  }
-  request_view_set(id, std::move(rich), parent_span);
-}
-
 void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
-                        bool demand, obs::SpanId parent) {
+                        Origin origin, obs::SpanId parent) {
+  const bool demand = origin == Origin::kDemand;
   // 1. Agent cache.
   bool first_prefetch_hit = false;
   if (std::shared_ptr<const Bytes> data = cache_.get(id, &first_prefetch_hit, demand);
@@ -260,9 +250,6 @@ void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
   //    with an ongoing prefetch — part of the latency is already hidden).
   auto it = inflight_.find(id);
   if (it != inflight_.end()) {
-    // A demand request catching up with its own prefetch is the other shape
-    // of "useful prefetch": part of the latency is already hidden.
-    if (demand && it->second.prefetch_origin) it->second.demand_joined = true;
     it->second.waiters.push_back(Waiter{std::move(cb), sim_.now(), demand, parent});
     return;
   }
@@ -271,11 +258,12 @@ void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
   Inflight flight;
   flight.waiters.push_back(Waiter{std::move(cb), sim_.now(), demand, parent});
   flight.started = sim_.now();
-  flight.prefetch_origin = !demand;
+  flight.origin = origin;
   if (demand) ++demand_inflight_;
   flight.span = obs_.trace.begin("agent.fetch", sim_.now(), parent);
   obs_.trace.arg(flight.span, "view_set", id.key());
   obs_.trace.arg(flight.span, "demand", demand ? "true" : "false");
+  if (origin == Origin::kRefine) obs_.trace.arg(flight.span, "refinement", "true");
   inflight_.emplace(id, std::move(flight));
   resolve_and_download(id);
 }
@@ -343,12 +331,13 @@ void ClientAgent::resolve_and_download(const lightfield::ViewSetId& id, bool all
     }
   }
   // Which tier should a demand flight target? Only demand traffic degrades:
-  // a prefetch at a coarse tier would anticipate the wrong bytes.
+  // a prefetch at a coarse tier would anticipate the wrong bytes, and a
+  // refinement exists to fetch the full ones.
   int want = 0;
   if (allow_coarse) {
     if (auto flight = inflight_.find(id);
-        flight != inflight_.end() && !flight->second.refinement &&
-        (!flight->second.prefetch_origin || flight->second.demand_joined)) {
+        flight != inflight_.end() && flight->second.origin != Origin::kRefine &&
+        flight->second.demanded()) {
       want = choose_lod(id, flight->second.started);
     }
   }
@@ -369,17 +358,6 @@ void ClientAgent::resolve_and_download(const lightfield::ViewSetId& id, bool all
       obs_.trace, flight != inflight_.end() ? flight->second.span : 0);
   dvs_.query_async(node_, id, /*generate_if_missing=*/true,
                    [this, id](const DvsServer::QueryResult& result) {
-                     if (result.shed) {
-                       // The generation tier refused under load: not a
-                       // failure, not a reason to repair anything — the
-                       // client backs off and retries.
-                       if (auto it = inflight_.find(id); it != inflight_.end()) {
-                         it->second.shed_upstream = true;
-                       }
-                       note_pressure(id);
-                       finish_fetch(id, nullptr, 0);
-                       return;
-                     }
                      if (!result.found) {
                        LON_LOG(kWarn, "client-agent")
                            << "view set " << id.key() << " unavailable";
@@ -396,8 +374,7 @@ bool ClientAgent::try_lod(const lightfield::ViewSetId& id, int lod) {
   auto it = inflight_.find(id);
   if (it == inflight_.end()) return false;
   // Only demand traffic degrades; a refinement exists to fetch full bytes.
-  if (it->second.refinement) return false;
-  if (it->second.prefetch_origin && !it->second.demand_joined) return false;
+  if (it->second.origin == Origin::kRefine || !it->second.demanded()) return false;
   const obs::Tracer::Ambient ambient(obs_.trace, it->second.span);
   config_.lod_tiers[static_cast<std::size_t>(lod) - 1].dvs->query_async(
       node_, id, /*generate_if_missing=*/false,
@@ -433,13 +410,7 @@ void ClientAgent::start_refinement(const lightfield::ViewSetId& id) {
     return;
   }
   metrics_.lod_refinements.inc();
-  fetch(id, nullptr, /*demand=*/false);
-  // fetch() always goes async for a non-resident id, so the flight exists;
-  // tagging it keeps refinement out of the prefetch slot/byte accounting.
-  if (auto it = inflight_.find(id); it != inflight_.end()) {
-    it->second.refinement = true;
-    obs_.trace.arg(it->second.span, "refinement", "true");
-  }
+  fetch(id, nullptr, Origin::kRefine);
 }
 
 void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode& exnode,
@@ -569,12 +540,10 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
   if (it == inflight_.end()) return;
   Inflight flight = std::move(it->second);
   inflight_.erase(it);
-  if (!flight.prefetch_origin && demand_inflight_ > 0) --demand_inflight_;
+  if (flight.origin == Origin::kDemand && demand_inflight_ > 0) --demand_inflight_;
 
   const bool ok = data != nullptr && !data->empty();
-  const DeliveryStatus status = ok                     ? DeliveryStatus::kOk
-                                : flight.shed_upstream ? DeliveryStatus::kShed
-                                                       : DeliveryStatus::kFailed;
+  const bool demanded = flight.demanded();
   // The pooled download slab is handed onward by reference — cache entries
   // and deliveries all alias it; nothing below copies a payload byte.
   std::shared_ptr<const Bytes> payload =
@@ -586,8 +555,7 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
   // demand working set from the start. A refinement is neither: the demand
   // path already consumed the coarse serve it upgrades, so its bytes are
   // working set.
-  const bool speculative =
-      flight.prefetch_origin && !flight.demand_joined && !flight.refinement;
+  const bool speculative = flight.origin == Origin::kPrefetch && !demanded;
   if (ok) {
     // Shared-ownership insert: the cache aliases this payload rather than
     // deep-copying every delivered view set. Coarse payloads are cached too,
@@ -601,7 +569,7 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
       // estimators (coarse fetches are not representative of either the
       // payload size or the full-fetch latency).
       cache_.erase_coarse(id, max_lod());
-      if (flight.refinement) metrics_.lod_refined.inc();
+      if (flight.origin == Origin::kRefine) metrics_.lod_refined.inc();
       const auto size = static_cast<double>(payload->size());
       payload_bytes_ewma_ =
           payload_bytes_ewma_ <= 0.0 ? size : 0.3 * size + 0.7 * payload_bytes_ewma_;
@@ -613,25 +581,19 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
       }
     }
   }
-  // Ladder feed: one outcome per demand flight. A shed is a miss by
-  // definition; a hard failure is availability, not overload, and does not
-  // move the ladder.
-  if (!flight.prefetch_origin || flight.demand_joined) {
-    if (status == DeliveryStatus::kShed) {
-      observe_deadline(/*miss=*/true);
-    } else if (ok && config_.deadline > 0) {
-      observe_deadline(sim_.now() - flight.started > config_.deadline);
-    }
+  // Ladder feed: one outcome per demand flight. A hard failure is
+  // availability, not overload, and does not move the ladder.
+  if (demanded && ok && config_.deadline > 0) {
+    observe_deadline(sim_.now() - flight.started > config_.deadline);
   }
-  // Refinements ride the prefetch_origin plumbing (null callback, no demand
-  // accounting) but were never charged a prefetch slot or bytes — releasing
-  // one here would free a slot a real prefetch still holds.
-  if (flight.prefetch_origin && !flight.refinement) {
+  // Refinements were never charged a prefetch slot or bytes — releasing one
+  // here would free a slot a real prefetch still holds.
+  if (flight.origin == Origin::kPrefetch) {
     if (prefetch_inflight_ > 0) --prefetch_inflight_;
     prefetch_bytes_inflight_ -= std::min(prefetch_bytes_inflight_, flight.prefetch_charge);
     if (ok) {
       metrics_.prefetch_bytes.inc(payload->size());
-      if (flight.demand_joined) {
+      if (demanded) {
         metrics_.prefetch_useful.inc();
         metrics_.prefetch_useful_bytes.inc(payload->size());
       }
@@ -665,29 +627,24 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
 
   for (const Waiter& waiter : flight.waiters) {
     if (waiter.demand) {
-      if (status == DeliveryStatus::kShed) {
-        // Not an access: the request was refused, not served.
-        metrics_.demand_shed.inc();
-      } else {
-        switch (flight.cls) {
-          case AccessClass::kLanDepot:
-            metrics_.lan_accesses.inc();
-            break;
-          case AccessClass::kWan:
-          case AccessClass::kGenerated:
-            metrics_.wan_accesses.inc();
-            break;
-          case AccessClass::kAgentHit:
-            metrics_.hits.inc();
-            break;
-        }
-        if (ok && flight.lod > 0) metrics_.lod_coarse_serves.inc();
+      switch (flight.cls) {
+        case AccessClass::kLanDepot:
+          metrics_.lan_accesses.inc();
+          break;
+        case AccessClass::kWan:
+        case AccessClass::kGenerated:
+          metrics_.wan_accesses.inc();
+          break;
+        case AccessClass::kAgentHit:
+          metrics_.hits.inc();
+          break;
       }
+      if (ok && flight.lod > 0) metrics_.lod_coarse_serves.inc();
     }
     if (waiter.cb) {
       Delivery delivery{payload, flight.cls, sim_.now() - waiter.arrived, decoded,
                         report};
-      delivery.status = status;
+      delivery.status = ok ? DeliveryStatus::kOk : DeliveryStatus::kFailed;
       delivery.copied_bytes = copied_bytes;
       delivery.lod = flight.lod;
       delivery.degraded_lod = flight.lod > 0;
@@ -697,7 +654,7 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
   // A fresh coarse serve leaves the full-resolution bytes still missing:
   // upgrade in the background so later accesses (and the estimators) see
   // the canonical view set.
-  if (ok && flight.lod > 0 && !flight.prefetch_origin) start_refinement(id);
+  if (ok && flight.lod > 0 && flight.origin == Origin::kDemand) start_refinement(id);
 }
 
 void ClientAgent::observe_deadline(bool miss) {
@@ -793,10 +750,10 @@ void ClientAgent::run_prefetch(const Spherical& dir) {
     metrics_.prefetches.inc();
     ++prefetch_inflight_;
     prefetch_bytes_inflight_ += charge;
-    fetch(target, nullptr, /*demand=*/false);
+    fetch(target, nullptr, Origin::kPrefetch);
     // fetch() always goes async for a non-resident id, so the flight exists.
     if (auto it = inflight_.find(target);
-        it != inflight_.end() && it->second.prefetch_origin) {
+        it != inflight_.end() && it->second.origin == Origin::kPrefetch) {
       it->second.prefetch_charge = charge;
     }
   }

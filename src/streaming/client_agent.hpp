@@ -21,6 +21,7 @@
 //     moves, without the data ever passing through the agent.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -66,9 +67,9 @@ enum class DegradeLevel {
 
 [[nodiscard]] const char* to_string(DegradeLevel level);
 
-/// How a delivery concluded. kShed is an explicit overload refusal (local
-/// admission control or the generation tier): the payload is empty but the
-/// request is retryable and must not be treated as a depot failure.
+/// How a delivery concluded. kShed is an explicit overload refusal by the
+/// agent's demand admission control: the payload is empty but the request
+/// is retryable and must not be treated as a depot failure.
 enum class DeliveryStatus { kOk, kFailed, kShed };
 
 struct ClientAgentConfig {
@@ -231,7 +232,7 @@ class ClientAgent {
     obs::Counter& stage_wan_bytes;      ///< payload bytes this agent staged over the WAN
     /// WAN demand downloads in flight now. Balance invariant: zero whenever
     /// the agent is idle — every increment in download() must be matched
-    /// across the shed/retry/coarse completion paths.
+    /// across the retry/coarse completion paths.
     obs::Gauge& demand_wan_active;
   };
 
@@ -275,20 +276,14 @@ class ClientAgent {
   };
   using RichDeliverCallback = std::function<void(const Delivery&)>;
 
-  /// Legacy delivery signature (payload, class, comm latency).
-  using DeliverCallback =
-      std::function<void(const Bytes& compressed, AccessClass cls, SimDuration comm_latency)>;
-
   /// Demand request from a client (invoked at agent time — the client models
   /// its own network legs). Triggers the access path above. `parent_span`
   /// carries the client's request span across the client->agent hop so the
   /// whole lifeline nests in one trace.
   void request_view_set(const lightfield::ViewSetId& id, RichDeliverCallback on_done,
                         obs::SpanId parent_span = 0);
-  void request_view_set(const lightfield::ViewSetId& id, DeliverCallback on_done,
-                        obs::SpanId parent_span = 0);
   /// Variant carrying the requesting client's identity, which keys the
-  /// per-client fair-share token bucket. The identity-less overloads charge
+  /// per-client fair-share token bucket. The identity-less overload charges
   /// everything to one aggregate bucket (the agent's own node).
   void request_view_set(const lightfield::ViewSetId& id, sim::NodeId requester,
                         RichDeliverCallback on_done, obs::SpanId parent_span = 0);
@@ -340,29 +335,37 @@ class ClientAgent {
   struct Waiter {
     RichDeliverCallback cb;
     SimTime arrived = 0;
-    bool demand = false;  ///< prefetches pass a null callback
+    bool demand = false;  ///< prefetches and refinements pass a null callback
     obs::SpanId parent = 0;
   };
+  /// Who started a flight. Only kDemand flights hold an admission slot; only
+  /// kPrefetch flights hold a prefetch slot and budget charge; kRefine is
+  /// the background full-resolution upgrade of a coarse serve.
+  enum class Origin { kDemand, kPrefetch, kRefine };
   struct Inflight {
     std::vector<Waiter> waiters;
     AccessClass cls = AccessClass::kWan;
-    int attempts = 0;  ///< end-to-end re-resolutions consumed so far
     obs::SpanId span = 0;  ///< agent.fetch span covering the whole fetch
     SimTime started = 0;   ///< when the fetch began (feeds the latency EWMA)
-    bool prefetch_origin = false;  ///< started by the prefetcher
-    bool demand_joined = false;    ///< a demand request later joined it
     std::uint64_t prefetch_charge = 0;  ///< bytes charged to the prefetch budget
-    int lod = 0;                   ///< tier being fetched (0 = full resolution)
-    bool refinement = false;       ///< background full-res upgrade of a coarse serve
-    bool shed_upstream = false;    ///< the generation tier shed this request
+    Origin origin = Origin::kDemand;
+    int lod = 0;       ///< tier being fetched (0 = full resolution)
+    int attempts = 0;  ///< end-to-end re-resolutions consumed so far
     /// The flight resolved through a staged/site copy. On a failed retry the
     /// agent drops that copy exactly once (see the drop_staged plumbing) —
     /// this is what keeps agent.restaged from double-counting one incident.
     bool from_staged = false;
+
+    /// A demand request is waiting on this flight: it started it, or caught
+    /// up with a prefetch or refinement already under way.
+    [[nodiscard]] bool demanded() const {
+      return std::any_of(waiters.begin(), waiters.end(),
+                         [](const Waiter& w) { return w.demand; });
+    }
   };
 
-  /// Starts (or joins) a fetch of `id`; cb may be null for prefetch.
-  void fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb, bool demand,
+  /// Starts (or joins) a fetch of `id`; cb is null for prefetch and refinement.
+  void fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb, Origin origin,
              obs::SpanId parent = 0);
 
   /// Resolves the exNode (staged > cached > DVS) then downloads. A demand

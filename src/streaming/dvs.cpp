@@ -17,7 +17,7 @@ DvsServer::DvsServer(sim::Simulator& sim, sim::Network& net, sim::NodeId node,
       metrics_{scope_.counter("dvs.queries"),    scope_.counter("dvs.hits"),
                scope_.counter("dvs.misses"),     scope_.counter("dvs.forwarded"),
                scope_.counter("dvs.updates"),    scope_.counter("dvs.levels_visited"),
-               scope_.counter("dvs.generation_shed"), scope_.counter("dvs.hot_reports")} {
+               scope_.counter("dvs.hot_reports")} {
   if (config_.leaf_capacity == 0) throw std::invalid_argument("DvsServer: leaf capacity 0");
   if (config_.shards == 0) throw std::invalid_argument("DvsServer: shard count 0");
   Region whole{0, static_cast<int>(lattice.view_set_rows()), 0,
@@ -173,29 +173,21 @@ void DvsServer::query_async(sim::NodeId from, const lightfield::ViewSetId& id,
       // Ambient parent for the server agent's generate span: the forward is
       // a synchronous call, so the register survives exactly long enough.
       const obs::Tracer::Ambient ambient(obs_.trace, span);
-      agent_->generate_with_status_async(
-          id, [this, id, levels, back, span,
-               cb = std::move(cb)](GenerateStatus status, const exnode::ExNode& exnode) {
+      agent_->generate_async(
+          id, [this, id, levels, back, span, cb = std::move(cb)](
+                  bool ok, const exnode::ExNode& exnode) {
             QueryResult result;
             result.levels = levels;
-            if (status == GenerateStatus::kOk) {
+            if (ok) {
               install(id, exnode);
               metrics_.updates.inc();
               result.found = true;
               result.exnode = exnode;
-            } else if (status == GenerateStatus::kShed) {
-              // Overload, not absence: the caller should back off and retry
-              // rather than give up or repair anything.
-              metrics_.generation_shed.inc();
-              result.shed = true;
             } else {
               metrics_.misses.inc();
             }
-            sim_.after(back, [this, span, status, result, cb] {
-              obs_.trace.arg(span, "outcome",
-                             status == GenerateStatus::kOk     ? "generated"
-                             : status == GenerateStatus::kShed ? "shed"
-                                                               : "miss");
+            sim_.after(back, [this, span, ok, result, cb] {
+              obs_.trace.arg(span, "outcome", ok ? "generated" : "miss");
               obs_.trace.end(span, sim_.now());
               cb(result);
             });

@@ -29,12 +29,6 @@
 
 namespace lon::streaming {
 
-/// Why a runtime-generation request did not return an exNode. kShed is an
-/// explicit overload response — the generator's admission control refused
-/// the work — and must not be confused with kFailed (invalid id, upload
-/// failure): a shed request is worth retrying, a failed one is not.
-enum class GenerateStatus { kOk, kFailed, kShed };
-
 /// The server-agent side of the DVS miss path (implemented by ServerAgent).
 class GeneratorService {
  public:
@@ -42,22 +36,11 @@ class GeneratorService {
 
   using GenerateCallback =
       std::function<void(bool ok, const exnode::ExNode& exnode)>;
-  using GenerateStatusCallback =
-      std::function<void(GenerateStatus status, const exnode::ExNode& exnode)>;
 
-  /// Renders + uploads the view set, returning its new exNode.
+  /// Renders + uploads the view set, returning its new exNode. `ok` is false
+  /// for an invalid id or a failed upload.
   virtual void generate_async(const lightfield::ViewSetId& id,
                               GenerateCallback on_done) = 0;
-
-  /// Status-carrying variant: distinguishes an admission-control shed from a
-  /// hard failure. The default bridges to generate_async so existing
-  /// generators (which never shed) keep working unchanged.
-  virtual void generate_with_status_async(const lightfield::ViewSetId& id,
-                                          GenerateStatusCallback on_done) {
-    generate_async(id, [cb = std::move(on_done)](bool ok, const exnode::ExNode& exnode) {
-      cb(ok ? GenerateStatus::kOk : GenerateStatus::kFailed, exnode);
-    });
-  }
 
   /// Demand-pressure signal: the client side is shedding or degrading
   /// requests for this view set. A generator may react by fanning the view
@@ -98,7 +81,6 @@ class DvsServer {
     obs::Counter& forwarded;        ///< sent to the server-agent table
     obs::Counter& updates;
     obs::Counter& levels_visited;   ///< cumulative hops over all queries
-    obs::Counter& generation_shed;  ///< forwarded queries the generator shed
     obs::Counter& hot_reports;      ///< demand-pressure reports relayed
   };
 
@@ -120,8 +102,7 @@ class DvsServer {
   struct QueryResult {
     bool found = false;
     exnode::ExNode exnode;
-    int levels = 0;   ///< tree hops this query made
-    bool shed = false; ///< the generator shed the request (overload, retryable)
+    int levels = 0;  ///< tree hops this query made
   };
   using QueryCallback = std::function<void(const QueryResult&)>;
 

@@ -6,6 +6,11 @@
 
 namespace lon::streaming {
 
+namespace {
+/// Lease on the generator's uploads and on the replicas it fans out.
+constexpr SimDuration kLease = 24 * 3600 * kSecond;
+}  // namespace
+
 ServerAgent::ServerAgent(sim::Simulator& sim, sim::Network& net, lors::Lors& lors,
                          DvsServer& dvs, sim::NodeId node,
                          std::shared_ptr<lightfield::ViewSetSource> source,
@@ -22,72 +27,33 @@ ServerAgent::ServerAgent(sim::Simulator& sim, sim::Network& net, lors::Lors& lor
       metrics_{scope_.counter("server.requests"),
                scope_.counter("server.generated"),
                scope_.counter("server.upload_failures"),
-               scope_.counter("server.generation_shed"),
-               scope_.counter("server.shed_queue_full"),
-               scope_.counter("server.shed_deadline"),
                scope_.counter("server.hot_reports"),
                scope_.counter("server.augments"),
-               scope_.counter("server.augment_failures")},
-      admission_(config_.admission) {
+               scope_.counter("server.augment_failures")} {
   if (source_ == nullptr) throw std::invalid_argument("ServerAgent: null source");
   if (config_.depots.empty()) throw std::invalid_argument("ServerAgent: no depots");
-  if (config_.processors < 1) throw std::invalid_argument("ServerAgent: processors < 1");
-  if (config_.generator_lanes < 1) {
-    throw std::invalid_argument("ServerAgent: generator_lanes < 1");
-  }
 }
 
 SimDuration ServerAgent::generation_cost() const {
+  constexpr int kProcessors = 32;                 // the paper's cluster size
+  constexpr double kPixelsPerSecPerProc = 1.5e6;  // ray-cast throughput per CPU
+  constexpr double kIoBytesPerSec = 25e6;         // "most of the time ... disk I/O"
   const auto& cfg = source_->lattice().config();
   const double pixels = static_cast<double>(cfg.view_set_span) * cfg.view_set_span *
                         static_cast<double>(cfg.view_resolution) * cfg.view_resolution;
-  // Lanes split the cluster evenly: one lane gets all processors (the seed
-  // behaviour); N lanes each render on 1/N of the cluster.
-  const int procs = std::max(1, config_.processors / config_.generator_lanes);
-  const double render_s = pixels / (config_.pixels_per_sec_per_proc * procs);
+  const double render_s = pixels / (kPixelsPerSecPerProc * kProcessors);
   // Raw pixels are written once and the compressed output once more.
-  const double io_s = pixels * 3.0 * 1.2 / config_.io_bytes_per_sec;
+  const double io_s = pixels * 3.0 * 1.2 / kIoBytesPerSec;
   return from_seconds(render_s + io_s);
 }
 
 void ServerAgent::generate_async(const lightfield::ViewSetId& id,
                                  GenerateCallback on_done) {
-  generate_with_status_async(
-      id, [cb = std::move(on_done)](GenerateStatus status, const exnode::ExNode& exnode) {
-        cb(status == GenerateStatus::kOk, exnode);
-      });
-}
-
-void ServerAgent::generate_with_status_async(const lightfield::ViewSetId& id,
-                                             GenerateStatusCallback on_done) {
   if (!source_->lattice().valid(id)) {
-    sim_.after(0, [cb = std::move(on_done)] { cb(GenerateStatus::kFailed, exnode::ExNode{}); });
+    sim_.after(0, [cb = std::move(on_done)] { cb(false, exnode::ExNode{}); });
     return;
   }
   metrics_.requests.inc();
-
-  // Admission: the queue depth counts waiting requests; the completion
-  // estimate is one generation when a lane is free, two when every lane is
-  // busy (at best we finish behind the request occupying it). Requester
-  // identity does not survive the DVS hop, so the token buckets keyed here
-  // would see one aggregate requester — fairness runs at the client agent.
-  const SimDuration est =
-      generation_cost() * (active_ < config_.generator_lanes ? 1 : 2);
-  const AdmissionDecision decision =
-      admission_.admit(0, sim_.now(), pending_.size(), est, config_.deadline);
-  if (decision != AdmissionDecision::kAdmit) {
-    metrics_.sheds.inc();
-    if (decision == AdmissionDecision::kShedQueueFull) {
-      metrics_.shed_queue_full.inc();
-    } else if (decision == AdmissionDecision::kShedDeadline) {
-      metrics_.shed_deadline.inc();
-    }
-    const obs::SpanId shed = obs_.trace.instant("server.shed", sim_.now());
-    obs_.trace.arg(shed, "view_set", id.key());
-    obs_.trace.arg(shed, "reason", to_string(decision));
-    sim_.after(0, [cb = std::move(on_done)] { cb(GenerateStatus::kShed, exnode::ExNode{}); });
-    return;
-  }
 
   // Parent is whatever the forwarding DVS left ambient; the span covers
   // queue wait as well as the render/upload/update pipeline.
@@ -122,7 +88,7 @@ void ServerAgent::augment(const lightfield::ViewSetId& id, const exnode::ExNode&
 
   lors::AugmentOptions options;
   options.target_depot = target;
-  options.lease = config_.lease;
+  options.lease = kLease;
   options.alloc_type = ibp::AllocType::kSoft;
   options.net = config_.net;
   options.parent_span = span;
@@ -149,13 +115,11 @@ void ServerAgent::augment(const lightfield::ViewSetId& id, const exnode::ExNode&
 void ServerAgent::maybe_start() {
   // LIFO: the scheduler "chooses the latest request to assign to the
   // generator" — the newest request is what the interactive user wants now.
-  // With several lanes, the newest requests occupy them newest-first.
-  while (active_ < config_.generator_lanes && !pending_.empty()) {
-    ++active_;
-    Request request = std::move(pending_.back());
-    pending_.pop_back();
-    run_one(std::move(request));
-  }
+  if (busy_ || pending_.empty()) return;
+  busy_ = true;
+  Request request = std::move(pending_.back());
+  pending_.pop_back();
+  run_one(std::move(request));
 }
 
 void ServerAgent::run_one(Request request) {
@@ -169,8 +133,7 @@ void ServerAgent::run_one(Request request) {
     lors::UploadOptions upload;
     upload.depots = config_.depots;
     upload.replicas = config_.replicas;
-    upload.block_bytes = config_.block_bytes;
-    upload.lease = config_.lease;
+    upload.lease = kLease;
     upload.net = config_.net;
     // The upload's span chains under server.generate via the ambient
     // register (upload_async opens its span before returning).
@@ -185,8 +148,8 @@ void ServerAgent::run_one(Request request) {
             metrics_.upload_failures.inc();
             obs_.trace.arg(request.span, "outcome", "upload_failed");
             obs_.trace.end(request.span, sim_.now());
-            request.on_done(GenerateStatus::kFailed, exnode::ExNode{});
-            --active_;
+            request.on_done(false, exnode::ExNode{});
+            busy_ = false;
             maybe_start();
             return;
           }
@@ -198,8 +161,8 @@ void ServerAgent::run_one(Request request) {
           dvs_.update_async(node_, request.id, exnode,
                             [this, request = std::move(request), exnode]() mutable {
                               obs_.trace.end(request.span, sim_.now());
-                              request.on_done(GenerateStatus::kOk, exnode);
-                              --active_;
+                              request.on_done(true, exnode);
+                              busy_ = false;
                               maybe_start();
                             });
         });

@@ -633,10 +633,9 @@ TEST_F(ChaosTest, BrowsingSurvivesCrashesLeaseExpiryAndCorruption) {
 
     bool done = false;
     Bytes got;
-    agent.request_view_set(id, [&](const Bytes& data, streaming::AccessClass,
-                                   SimDuration) {
+    agent.request_view_set(id, [&](const streaming::ClientAgent::Delivery& d) {
       done = true;
-      got = data;
+      got = *d.payload;
     });
     const SimTime limit = sim_.now() + 60 * kSecond;
     while (!done && sim_.now() < limit && sim_.step()) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -415,10 +416,9 @@ TEST_F(BudgetTest, ByteBudgetStopsPrefetchOnceChargeIsKnown) {
   // One demand fetch seeds the payload-size estimate (no cursor -> no
   // prefetch is triggered by it).
   bool done = false;
-  agent->request_view_set({2, 0}, [&](const Bytes& data, streaming::AccessClass,
-                                      SimDuration) {
+  agent->request_view_set({2, 0}, [&](const streaming::ClientAgent::Delivery& d) {
     done = true;
-    EXPECT_FALSE(data.empty());
+    EXPECT_FALSE(d.payload->empty());
   });
   sim_.run();
   ASSERT_TRUE(done);
@@ -428,6 +428,65 @@ TEST_F(BudgetTest, ByteBudgetStopsPrefetchOnceChargeIsKnown) {
   // Every round proposed targets; the byte budget refused them all.
   EXPECT_GT(agent->metrics().predictions.value(), 0u);
   EXPECT_EQ(agent->metrics().prefetches.value(), 0u);
+}
+
+TEST_F(BudgetTest, DemandJoiningAPrefetchMakesItWorkingSet) {
+  const auto& lattice = source_->lattice();
+  // Cursor in the lower-right quadrant of view set (2,3): the quadrant policy
+  // prefetches three neighbours over the skinny trunk.
+  const Spherical center = lattice.view_set_center({2, 3});
+  const double nudge = 0.4 * deg2rad(lattice.config().angular_step_deg);
+  const Spherical dir{center.theta + nudge, center.phi + nudge};
+  const auto targets = lattice.prefetch_targets({2, 3}, lattice.quadrant_of(dir));
+  ASSERT_EQ(targets.size(), 3u);
+  // The demand request joins the prefetch the hybrid policy would sacrifice
+  // first if it stayed unused: the one farthest from the cursor.
+  ViewSetId joined = targets[0];
+  for (const auto& t : targets) {
+    if (angular_distance(dir, lattice.view_set_center(t)) >
+        angular_distance(dir, lattice.view_set_center(joined))) {
+      joined = t;
+    }
+  }
+  // Room for the three prefetches plus one more demand payload, less a byte:
+  // the last insert evicts exactly one entry.
+  const ViewSetId later{0, 0};
+  std::uint64_t cache_bytes = source_->build_compressed(later).size() - 1;
+  for (const auto& t : targets) cache_bytes += source_->build_compressed(t).size();
+
+  streaming::ClientAgentConfig cfg;
+  cfg.prefetch = true;
+  cfg.eviction = EvictionStrategy::kHybrid;
+  cfg.cache_bytes = cache_bytes;
+  auto agent = make_agent(cfg);
+  agent->notify_cursor(dir);
+  sim_.run_until(sim_.now() + 30 * kMillisecond);  // prefetches in flight, not done
+  ASSERT_EQ(agent->prefetch_inflight(), 3u);
+
+  std::optional<streaming::ClientAgent::Delivery> delivery;
+  const auto record = [&](const streaming::ClientAgent::Delivery& d) { delivery = d; };
+  agent->request_view_set(joined, record);
+  sim_.run();
+  ASSERT_TRUE(delivery.has_value());
+  EXPECT_EQ(delivery->status, streaming::DeliveryStatus::kOk);
+  // The prefetch's flight served the demand: its WAN class, not a hit.
+  EXPECT_EQ(delivery->cls, streaming::AccessClass::kWan);
+  EXPECT_EQ(agent->metrics().prefetches.value(), 3u);
+  EXPECT_EQ(agent->metrics().prefetch_useful.value(), 1u);
+  EXPECT_EQ(agent->prefetch_inflight(), 0u);
+
+  // A later demand insert needs room. The joined entry is demand working
+  // set, so an unused prefetch goes instead.
+  agent->request_view_set(later, nullptr);
+  sim_.run();
+  EXPECT_EQ(agent->metrics().pollution_evictions.value(), 1u);
+  EXPECT_TRUE(agent->cache().contains(later));
+  EXPECT_TRUE(agent->cache().contains(joined));
+  std::size_t prefetched_left = 0;
+  for (const auto& t : targets) {
+    if (t != joined && agent->cache().contains(t)) ++prefetched_left;
+  }
+  EXPECT_EQ(prefetched_left, 1u);
 }
 
 // --- end-to-end: the perf-gate guarantees ------------------------------------

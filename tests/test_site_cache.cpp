@@ -594,9 +594,9 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
   const ViewSetId id{2, 6};
   bool done = false;
   Bytes received = {9};
-  agent.request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
+  agent.request_view_set(id, [&](const ClientAgent::Delivery& d) {
     done = true;
-    received = data;
+    received = *d.payload;
   });
   sim_.run_until(1000 * kSecond);  // covers the incident and the +300 s heal
 
@@ -614,9 +614,9 @@ TEST_F(CoSitedPipelineTest, StagedReplicaDeathCountsExactlyOneRestage) {
 
   // After the heal the same view set is served cleanly over the WAN.
   bool delivered = false;
-  agent.request_view_set(id, [&](const Bytes& data, AccessClass cls, SimDuration) {
-    delivered = !data.empty();
-    EXPECT_EQ(cls, AccessClass::kWan);
+  agent.request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    delivered = !d.payload->empty();
+    EXPECT_EQ(d.cls, AccessClass::kWan);
   });
   sim_.run_until(1500 * kSecond);  // still inside the 1 h source lease
   EXPECT_TRUE(delivered);

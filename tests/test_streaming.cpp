@@ -191,23 +191,26 @@ TEST_F(DvsTest, OutOfGridQueriesFailCleanly) {
   EXPECT_THROW(dvs_->install({99, 99}, exnode::ExNode{}), std::out_of_range);
 }
 
-TEST_F(DvsTest, MissForwardsToServerAgentTable) {
-  // A fake generator: returns a canned exNode after a delay.
-  class FakeGenerator : public GeneratorService {
-   public:
-    FakeGenerator(sim::Simulator& sim, exnode::ExNode node)
-        : sim_(sim), node_(std::move(node)) {}
-    void generate_async(const ViewSetId&, GenerateCallback cb) override {
-      ++calls;
-      sim_.after(kSecond, [cb, node = node_] { cb(true, node); });
-    }
-    int calls = 0;
+/// A fake generator: answers every request after a delay, with `ok` and a
+/// canned exNode.
+class FakeGenerator : public GeneratorService {
+ public:
+  FakeGenerator(sim::Simulator& sim, exnode::ExNode node, bool ok)
+      : sim_(sim), node_(std::move(node)), ok_(ok) {}
+  void generate_async(const ViewSetId&, GenerateCallback cb) override {
+    ++calls;
+    sim_.after(kSecond, [cb, node = node_, ok = ok_] { cb(ok, node); });
+  }
+  int calls = 0;
 
-   private:
-    sim::Simulator& sim_;
-    exnode::ExNode node_;
-  };
-  FakeGenerator generator(sim_, fake_exnode({2, 5}));
+ private:
+  sim::Simulator& sim_;
+  exnode::ExNode node_;
+  bool ok_;
+};
+
+TEST_F(DvsTest, MissForwardsToServerAgentTable) {
+  FakeGenerator generator(sim_, fake_exnode({2, 5}), /*ok=*/true);
   dvs_->register_server_agent(&generator);
 
   std::optional<DvsServer::QueryResult> result;
@@ -220,6 +223,39 @@ TEST_F(DvsTest, MissForwardsToServerAgentTable) {
   EXPECT_EQ(dvs_->metrics().forwarded.value(), 1u);
   // The exNode table was updated: the next query is a plain hit.
   EXPECT_TRUE(dvs_->knows({2, 5}));
+}
+
+TEST_F(DvsTest, FailedGenerationIsAMissAndAFailedDelivery) {
+  FakeGenerator generator(sim_, fake_exnode({2, 5}), /*ok=*/false);
+  dvs_->register_server_agent(&generator);
+
+  const std::uint64_t misses = dvs_->metrics().misses.value();
+  std::optional<DvsServer::QueryResult> result;
+  dvs_->query_async(client_, {2, 5}, true,
+                    [&](const DvsServer::QueryResult& r) { result = r; });
+  sim_.run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->found);
+  EXPECT_EQ(generator.calls, 1);
+  EXPECT_EQ(dvs_->metrics().misses.value(), misses + 1);
+  EXPECT_FALSE(dvs_->knows({2, 5}));  // nothing was installed
+
+  // A client agent on this directory reports the failed generation as a
+  // failed delivery: a generator never sheds, so nothing here is retryable.
+  ibp::Fabric fabric(sim_, net_);
+  lors::Lors lors(sim_, net_, fabric);
+  ClientAgentConfig cfg;
+  cfg.prefetch = false;
+  ClientAgent agent(sim_, net_, fabric, lors, *dvs_, lattice_, client_, cfg);
+  std::optional<ClientAgent::Delivery> delivery;
+  agent.request_view_set({2, 5}, [&](const ClientAgent::Delivery& d) { delivery = d; });
+  sim_.run();
+  ASSERT_TRUE(delivery.has_value());
+  EXPECT_EQ(delivery->status, DeliveryStatus::kFailed);
+  EXPECT_NE(delivery->status, DeliveryStatus::kShed);
+  EXPECT_TRUE(delivery->payload->empty());
+  EXPECT_EQ(generator.calls, 2);
+  EXPECT_EQ(agent.metrics().demand_shed.value(), 0u);
 }
 
 TEST_F(DvsTest, UpdateAsyncInstallsRemotely) {
@@ -330,10 +366,10 @@ TEST_F(PipelineTest, WanFetchDeliversCorrectBytes) {
   std::optional<AccessClass> cls;
   Bytes received;
   SimDuration comm = 0;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration t) {
-    received = data;
-    cls = c;
-    comm = t;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
+    comm = d.comm_latency;
   });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
@@ -348,15 +384,15 @@ TEST_F(PipelineTest, SecondRequestIsAHit) {
   const ViewSetId id{1, 2};
   publish(id);
   auto agent = make_agent(false, false);
-  agent->request_view_set(id, [](const Bytes&, AccessClass, SimDuration) {});
+  agent->request_view_set(id, [](const ClientAgent::Delivery&) {});
   sim_.run();
 
   std::optional<AccessClass> cls;
   SimDuration comm = 0;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration t) {
-    EXPECT_FALSE(data.empty());
-    cls = c;
-    comm = t;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
+    comm = d.comm_latency;
   });
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kAgentHit);
@@ -376,8 +412,8 @@ TEST_F(PipelineTest, ColdDemandFetchCopiesTheCompressedPayloadExactlyOnce) {
   ASSERT_EQ(agent->metrics().payload_copy_bytes.value(), 0u);
 
   bool done = false;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-    EXPECT_FALSE(data.empty());
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
     done = true;
   });
   sim_.run();
@@ -389,15 +425,15 @@ TEST_F(PipelineTest, WarmCacheHitCopiesZeroPayloadBytes) {
   const ViewSetId id{1, 2};
   publish(id);
   auto agent = make_agent(false, false);
-  agent->request_view_set(id, [](const Bytes&, AccessClass, SimDuration) {});
+  agent->request_view_set(id, [](const ClientAgent::Delivery&) {});
   sim_.run();
   const std::uint64_t after_cold = agent->metrics().payload_copy_bytes.value();
   EXPECT_GT(after_cold, 0u);
 
   std::optional<AccessClass> cls;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration) {
-    EXPECT_FALSE(data.empty());
-    cls = c;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
   });
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kAgentHit);
@@ -468,12 +504,11 @@ TEST_F(PipelineTest, DemandJoinsInflightPrefetch) {
   const auto targets = lattice.prefetch_targets({1, 3}, lattice.quadrant_of(dir));
   std::optional<AccessClass> cls;
   SimDuration comm = 0;
-  agent->request_view_set(targets[0],
-                          [&](const Bytes& data, AccessClass c, SimDuration t) {
-                            EXPECT_FALSE(data.empty());
-                            cls = c;
-                            comm = t;
-                          });
+  agent->request_view_set(targets[0], [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
+    comm = d.comm_latency;
+  });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
   EXPECT_EQ(*cls, AccessClass::kWan);  // data still came over the WAN...
@@ -506,10 +541,10 @@ TEST_F(PipelineTest, StagedAccessIsLanClassAndFast) {
   const ViewSetId id{2, 6};
   std::optional<AccessClass> cls;
   SimDuration comm = 0;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration t) {
-    EXPECT_FALSE(data.empty());
-    cls = c;
-    comm = t;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    EXPECT_FALSE(d.payload->empty());
+    cls = d.cls;
+    comm = d.comm_latency;
   });
   sim_.run();
   EXPECT_EQ(cls, AccessClass::kLanDepot);
@@ -635,8 +670,8 @@ TEST_F(PipelineTest, AgentCacheEvictionKeepsSessionCorrect) {
   const std::vector<ViewSetId> walk = {{0, 0}, {1, 1}, {2, 2}, {0, 0}, {3, 3}, {1, 1}};
   for (const auto& id : walk) {
     Bytes received;
-    agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-      received = data;
+    agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+      received = *d.payload;
     });
     sim_.run();
     ASSERT_FALSE(received.empty());
@@ -671,9 +706,9 @@ TEST_F(PipelineTest, ClassifyUsesBestReplicaAcrossAllExtents) {
   auto agent = make_agent(false, false);
   std::optional<AccessClass> cls;
   Bytes received;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration) {
-    received = data;
-    cls = c;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
   });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
@@ -698,9 +733,9 @@ TEST_F(PipelineTest, FailedDownloadAbortsAbandonedPipeline) {
   fabric_.set_offline("ca-1", true);
   bool done = false;
   Bytes received = {9};
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
     done = true;
-    received = data;
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_TRUE(done);
@@ -715,8 +750,8 @@ TEST_F(PipelineTest, FailedDownloadAbortsAbandonedPipeline) {
   fabric_.set_offline("ca-0", false);
   fabric_.set_offline("ca-1", false);
   Bytes again;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-    again = data;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    again = *d.payload;
   });
   sim_.run();
   EXPECT_EQ(again, source_->build_compressed(id));
@@ -735,9 +770,9 @@ TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
   const ViewSetId id{0, 4};
   std::optional<AccessClass> cls;
   Bytes received;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass c, SimDuration) {
-    received = data;
-    cls = c;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
+    cls = d.cls;
   });
   sim_.run();
   ASSERT_TRUE(cls.has_value());
@@ -759,8 +794,8 @@ TEST_F(PipelineTest, ServerAgentPublishesLfz2WhenConfigured) {
   auto agent = make_agent(false, false);
   const ViewSetId id{2, 3};
   Bytes received;
-  agent->request_view_set(id, [&](const Bytes& data, AccessClass, SimDuration) {
-    received = data;
+  agent->request_view_set(id, [&](const ClientAgent::Delivery& d) {
+    received = *d.payload;
   });
   sim_.run();
   ASSERT_FALSE(received.empty());
