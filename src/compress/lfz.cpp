@@ -41,22 +41,48 @@ constexpr std::array<LengthCode, 30> kDistCodes = {{
     {4097, 11}, {6145, 11}, {8193, 12}, {12289, 12},{16385, 13},{24577, 13},
 }};
 
-/// Symbol for a match length in [3, 258].
-std::uint32_t length_symbol(std::uint32_t length) {
-  // Linear scan is fine: 29 entries, called once per token.
-  for (std::size_t i = kLengthCodes.size(); i-- > 0;) {
-    if (length >= kLengthCodes[i].base) return static_cast<std::uint32_t>(257 + i);
+// Symbol lookup tables, filled from the code tables above. Lengths index
+// directly by length - 3. Distances use zlib's split table: distance - 1
+// below 256 indexes the first half; above that, every code's base - 1 is a
+// multiple of 128, so (distance - 1) >> 7 indexes the second half.
+constexpr std::array<std::uint8_t, kMaxMatch - kMinMatch + 1> kLengthIndex = [] {
+  std::array<std::uint8_t, kMaxMatch - kMinMatch + 1> table{};
+  std::size_t code = 0;
+  for (std::uint32_t len = kMinMatch; len <= kMaxMatch; ++len) {
+    while (code + 1 < kLengthCodes.size() && kLengthCodes[code + 1].base <= len) ++code;
+    table[len - kMinMatch] = static_cast<std::uint8_t>(code);
   }
-  throw DecodeError("lfz: match length out of range");
+  return table;
+}();
+
+constexpr std::array<std::uint8_t, 512> kDistIndex = [] {
+  std::array<std::uint8_t, 512> table{};
+  std::size_t code = 0;
+  for (std::uint32_t d = 0; d < kWindowSize; ++d) {
+    while (code + 1 < kDistCodes.size() && kDistCodes[code + 1].base <= d + 1) ++code;
+    table[d < 256 ? d : 256 + (d >> 7)] = static_cast<std::uint8_t>(code);
+  }
+  return table;
+}();
+
+}  // namespace
+
+std::uint32_t length_symbol(std::uint32_t length) {
+  if (length < kMinMatch || length > kMaxMatch) {
+    throw DecodeError("lfz: match length out of range");
+  }
+  return 257 + kLengthIndex[length - kMinMatch];
 }
 
-/// Symbol for a distance in [1, 32768].
 std::uint32_t distance_symbol(std::uint32_t distance) {
-  for (std::size_t i = kDistCodes.size(); i-- > 0;) {
-    if (distance >= kDistCodes[i].base) return static_cast<std::uint32_t>(i);
+  if (distance == 0 || distance > kWindowSize) {
+    throw DecodeError("lfz: distance out of range");
   }
-  throw DecodeError("lfz: distance out of range");
+  const std::uint32_t d = distance - 1;
+  return kDistIndex[d < 256 ? d : 256 + (d >> 7)];
 }
+
+namespace {
 
 void write_lengths_packed(ByteWriter& out, std::span<const std::uint8_t> lengths) {
   // Two 4-bit lengths per byte (code lengths never exceed 15).

@@ -93,6 +93,14 @@ bool is_chunked(std::span<const std::uint8_t> compressed);
 /// True if the bytes carry the LFZ2 magic specifically.
 bool is_lfz2(std::span<const std::uint8_t> compressed);
 
+/// DEFLATE literal/length symbol (257..285) for a match length in [3, 258].
+/// Throws DecodeError outside that range.
+std::uint32_t length_symbol(std::uint32_t length);
+
+/// DEFLATE distance symbol (0..29) for a distance in [1, 32768]. Throws
+/// DecodeError outside that range.
+std::uint32_t distance_symbol(std::uint32_t distance);
+
 /// Wire-format label for metrics: "stored", "lfz1", "lfzc", "lfz2" or
 /// "unknown". Never throws.
 const char* wire_label(std::span<const std::uint8_t> compressed);

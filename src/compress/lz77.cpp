@@ -11,6 +11,13 @@ namespace {
 constexpr std::uint32_t kHashBits = 15;
 constexpr std::uint32_t kHashSize = 1u << kHashBits;
 constexpr std::int32_t kNil = -1;
+// The hash chains link each position to the previous one with the same hash.
+// A chain walk only follows the link of a position at most kWindowSize behind
+// the one being matched, and every inserted position lies behind that one,
+// so in a ring of twice the window a slot is reused only after its position
+// has dropped out of reach. Memory stays 256 KiB whatever the input size.
+constexpr std::size_t kPrevRing = 2 * kWindowSize;
+constexpr std::size_t kPrevMask = kPrevRing - 1;
 
 inline std::uint32_t hash3(const std::uint8_t* p) {
   // Multiplicative hash of a 3-byte window.
@@ -57,12 +64,12 @@ std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
   tokens.reserve(n / 3);
 
   std::vector<std::int32_t> head(kHashSize, kNil);
-  std::vector<std::int32_t> prev(n, kNil);
+  std::vector<std::int32_t> prev(std::min(n, kPrevRing), kNil);
 
   auto insert = [&](std::size_t pos) {
     if (pos + kMinMatch > n) return;
     const std::uint32_t h = hash3(data.data() + pos);
-    prev[pos] = head[h];
+    prev[pos & kPrevMask] = head[h];
     head[h] = static_cast<std::int32_t>(pos);
   };
 
@@ -83,7 +90,7 @@ std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
         best_dist = static_cast<std::uint32_t>(pos - cpos);
         if (len >= options.good_enough || len == limit) break;
       }
-      candidate = prev[cpos];
+      candidate = prev[cpos & kPrevMask];
     }
     if (best_len >= kMinMatch) return Token::make_match(best_len, best_dist);
     return Token::make_literal(data[pos]);
@@ -92,7 +99,11 @@ std::vector<Token> lz77_tokenize(std::span<const std::uint8_t> data,
   std::size_t pos = 0;
   while (pos < n) {
     Token token = find_match(pos);
-    if (!token.is_literal() && options.lazy && pos + 1 < n) {
+    // A match already as long as the limit allows (kMaxMatch, or the rest of
+    // the input) cannot be beaten one byte later, so it skips the lazy probe;
+    // both branches insert the same positions in the same order.
+    const bool full_length = token.length == std::min<std::size_t>(kMaxMatch, n - pos);
+    if (!token.is_literal() && options.lazy && pos + 1 < n && !full_length) {
       // One-step lazy evaluation: emit a literal instead if the next
       // position has a strictly longer match.
       insert(pos);

@@ -26,7 +26,9 @@ class ViewSetSource {
 
   [[nodiscard]] virtual const SphericalLattice& lattice() const = 0;
 
-  /// Builds the (uncompressed) view set for `id`.
+  /// Builds the (uncompressed) view set for `id`. Must be safe to call
+  /// concurrently for distinct ids: the publisher builds real view sets in
+  /// parallel on the shared pool.
   [[nodiscard]] virtual ViewSet build(const ViewSetId& id) = 0;
 
   /// Builds and compresses in one step. chunk_bytes > 0 selects the chunked

@@ -5,6 +5,7 @@
 
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lon::session {
 
@@ -38,26 +39,38 @@ PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
   }
 
   // Pass 1: build the real view sets and measure the mean compressed size.
+  // Every real set gets a preassigned slot, so the build order cannot leak
+  // into the payloads; passes 2 and 3 run on this thread in lattice order.
   std::vector<std::pair<lightfield::ViewSetId, Bytes>> payloads;
   payloads.reserve(all.size());
-  std::uint64_t real_bytes = 0;
-  std::size_t real_count = 0;
+  std::vector<std::size_t> real_slots;
   const std::uint64_t pixel_bytes =
       static_cast<std::uint64_t>(lattice.config().view_set_span) *
       static_cast<std::uint64_t>(lattice.config().view_set_span) *
       lattice.config().view_resolution * lattice.config().view_resolution * 3;
 
   for (const auto& id : all) {
-    if (all_real || real_set.contains(id)) {
-      Bytes compressed =
-          source.build_compressed(id, options.chunk_bytes, options.pool, options.lfz2);
-      real_bytes += compressed.size();
-      ++real_count;
-      payloads.emplace_back(id, std::move(compressed));
-    } else {
-      payloads.emplace_back(id, Bytes{});  // filled in pass 2
-    }
+    if (all_real || real_set.contains(id)) real_slots.push_back(payloads.size());
+    payloads.emplace_back(id, Bytes{});  // real: filled below; filler: pass 2
   }
+  const auto encode = [&](std::size_t slot, ThreadPool* pool) {
+    auto& [id, payload] = payloads[slot];
+    payload = source.build_compressed(id, options.chunk_bytes, pool, options.lfz2);
+  };
+  if (real_slots.size() == 1) {
+    // One set (e.g. the all_filler calibration): encode inline, keeping its
+    // scratch in the calling thread's heap rather than a worker's arena.
+    encode(real_slots.front(), options.pool);
+  } else if (!real_slots.empty()) {
+    // One shared-pool task per set. Each encodes serially: a worker must
+    // never wait on the pool it runs on.
+    ThreadPool::shared().parallel_for(
+        0, real_slots.size(), [&](std::size_t i) { encode(real_slots[i], nullptr); },
+        real_slots.size());
+  }
+  std::uint64_t real_bytes = 0;
+  std::size_t real_count = real_slots.size();
+  for (const std::size_t slot : real_slots) real_bytes += payloads[slot].second.size();
   if (real_count == 0) {
     // No real content at all: derive a plausible size from the paper's 5-7x
     // ratio regime.

@@ -36,7 +36,9 @@ struct PublishOptions {
 
   /// > 0: real view sets are published as chunked (LFZC) containers of this
   /// chunk size — the format the client agent's decompress pipeline can
-  /// overlap with stripe transfers — compressed across `pool` when given.
+  /// overlap with stripe transfers. A lone real view set is compressed
+  /// across `pool` when given; several are built and compressed one per
+  /// task on ThreadPool::shared() instead.
   std::uint64_t chunk_bytes = 0;
   ThreadPool* pool = nullptr;
   /// Publish real view sets as inter-view-predicted LFZ2 containers instead
@@ -60,6 +62,13 @@ struct PublishResult {
 /// Publishes the whole database described by `source` (blocking: pumps the
 /// simulator until every upload completes). exNodes are installed into the
 /// DVS directly — offline publication happens out of band.
+///
+/// Real view sets are built and compressed in parallel on the shared pool
+/// (so `source` must build distinct ids concurrently, and the caller must
+/// not be a shared-pool worker); filler, uploads and DVS installs then run
+/// on the calling thread in lattice order, so every output is the same as a
+/// serial publish. A build that throws is rethrown here once every other
+/// build has finished.
 PublishResult publish_database(sim::Simulator& sim, lors::Lors& lors,
                                streaming::DvsServer& dvs,
                                lightfield::ViewSetSource& source, sim::NodeId server_node,

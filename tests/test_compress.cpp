@@ -203,6 +203,152 @@ TEST(Lz77, ExpandRejectsBadReferences) {
   EXPECT_THROW(lz77_expand(tokens), DecodeError);
 }
 
+/// The tokenizer as it was before its `prev` chain became a ring and the
+/// lazy probe learned to skip full-length matches: one `prev` link per input
+/// byte, and a lazy probe after every match. The reference the current
+/// tokenizer must match token for token.
+std::vector<Token> lz77_tokenize_reference(std::span<const std::uint8_t> data,
+                                           const Lz77Options& options) {
+  constexpr std::uint32_t kBits = 15;
+  const auto hash = [](const std::uint8_t* p) {
+    const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                            (static_cast<std::uint32_t>(p[1]) << 8) |
+                            (static_cast<std::uint32_t>(p[2]) << 16);
+    return (v * 2654435761u) >> (32 - kBits);
+  };
+  const std::size_t n = data.size();
+  std::vector<Token> tokens;
+  std::vector<std::int32_t> head(std::size_t{1} << kBits, -1);
+  std::vector<std::int32_t> prev(n, -1);
+  const auto insert = [&](std::size_t pos) {
+    if (pos + kMinMatch > n) return;
+    const std::uint32_t h = hash(data.data() + pos);
+    prev[pos] = head[h];
+    head[h] = static_cast<std::int32_t>(pos);
+  };
+  const auto find_match = [&](std::size_t pos) {
+    if (pos + kMinMatch > n) return Token::make_literal(data[pos]);
+    const auto limit =
+        static_cast<std::uint32_t>(std::min<std::size_t>(kMaxMatch, n - pos));
+    std::uint32_t best_len = 0, best_dist = 0;
+    std::int32_t candidate = head[hash(data.data() + pos)];
+    int chain = options.max_chain;
+    while (candidate != -1 && chain-- > 0) {
+      const auto cpos = static_cast<std::size_t>(candidate);
+      if (pos - cpos > kWindowSize) break;
+      std::uint32_t len = 0;
+      while (len < limit && data[cpos + len] == data[pos + len]) ++len;
+      if (len > best_len) {
+        best_len = len;
+        best_dist = static_cast<std::uint32_t>(pos - cpos);
+        if (len >= options.good_enough || len == limit) break;
+      }
+      candidate = prev[cpos];
+    }
+    return best_len >= kMinMatch ? Token::make_match(best_len, best_dist)
+                                 : Token::make_literal(data[pos]);
+  };
+  std::size_t pos = 0;
+  while (pos < n) {
+    Token token = find_match(pos);
+    std::size_t first_insert = 0;
+    if (!token.is_literal() && options.lazy && pos + 1 < n) {
+      insert(pos);
+      const Token next = find_match(pos + 1);
+      if (!next.is_literal() && next.length > token.length) {
+        tokens.push_back(Token::make_literal(data[pos]));
+        ++pos;
+        token = next;
+        insert(pos);
+      }
+      first_insert = 1;
+    }
+    const std::size_t advance = token.is_literal() ? 1 : token.length;
+    tokens.push_back(token);
+    for (std::size_t k = first_insert; k < advance; ++k) insert(pos + k);
+    pos += advance;
+  }
+  return tokens;
+}
+
+TEST(Lz77, TokenStreamMatchesPerByteChainReference) {
+  // Inputs past 64 KiB wrap the `prev` ring more than once; runs longer than
+  // kMaxMatch make full-length matches (the skipped lazy probe) common.
+  Rng rng(1951);
+  std::vector<Bytes> inputs;
+  Bytes runs;
+  while (runs.size() < 200'000) {
+    const std::size_t len = 1 + rng.below(700);
+    runs.insert(runs.end(), len, static_cast<std::uint8_t>(rng.below(4)));
+  }
+  inputs.push_back(std::move(runs));
+  Bytes smooth(100'000);
+  for (std::size_t i = 0; i < smooth.size(); ++i) {
+    smooth[i] = static_cast<std::uint8_t>((i / 300) % 7 + (rng.below(16) == 0 ? 1 : 0));
+  }
+  inputs.push_back(std::move(smooth));
+  Bytes one_value(70'000, 0x5a);  // a single run past the ring, ending at the limit
+  inputs.push_back(std::move(one_value));
+  Bytes small_alphabet(80'000);
+  for (auto& b : small_alphabet) b = static_cast<std::uint8_t>(rng.below(8));
+  inputs.push_back(std::move(small_alphabet));
+
+  Lz77Options shallow;
+  shallow.max_chain = 4;
+  shallow.good_enough = 16;
+  Lz77Options greedy;
+  greedy.lazy = false;
+  for (const Bytes& input : inputs) {
+    for (const Lz77Options& opts : {Lz77Options{}, shallow, greedy}) {
+      const auto got = lz77_tokenize(input, opts);
+      const auto want = lz77_tokenize_reference(input, opts);
+      ASSERT_EQ(got.size(), want.size()) << "input size " << input.size();
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].length, want[i].length) << "token " << i;
+        ASSERT_EQ(got[i].distance, want[i].distance) << "token " << i;
+        ASSERT_EQ(got[i].literal, want[i].literal) << "token " << i;
+      }
+    }
+  }
+}
+
+// --- length / distance symbols -------------------------------------------------
+
+/// DEFLATE base values in symbol order, and the linear scan the lookup
+/// tables replaced.
+constexpr std::uint32_t kLengthBase[] = {3,  4,  5,  6,  7,  8,  9,  10, 11,  13,
+                                         15, 17, 19, 23, 27, 31, 35, 43, 51,  59,
+                                         67, 83, 99, 115, 131, 163, 195, 227, 258};
+constexpr std::uint32_t kDistanceBase[] = {1,    2,    3,    4,     5,     7,    9,    13,
+                                           17,   25,   33,   49,    65,    97,   129,  193,
+                                           257,  385,  513,  769,   1025,  1537, 2049, 3073,
+                                           4097, 6145, 8193, 12289, 16385, 24577};
+
+std::uint32_t linear_scan(std::span<const std::uint32_t> bases, std::uint32_t value) {
+  for (std::size_t i = bases.size(); i-- > 0;) {
+    if (value >= bases[i]) return static_cast<std::uint32_t>(i);
+  }
+  throw DecodeError("below the first base");
+}
+
+TEST(LfzSymbols, TableLookupsMatchLinearScanExhaustively) {
+  for (std::uint32_t len = kMinMatch; len <= kMaxMatch; ++len) {
+    ASSERT_EQ(length_symbol(len), 257 + linear_scan(kLengthBase, len)) << "length " << len;
+  }
+  for (std::uint32_t dist = 1; dist <= kWindowSize; ++dist) {
+    ASSERT_EQ(distance_symbol(dist), linear_scan(kDistanceBase, dist)) << "dist " << dist;
+  }
+}
+
+TEST(LfzSymbols, OutOfRangeThrows) {
+  for (const std::uint32_t len : {0u, 1u, 2u, kMaxMatch + 1, 100'000u}) {
+    EXPECT_THROW((void)length_symbol(len), DecodeError) << len;
+  }
+  for (const std::uint32_t dist : {0u, kWindowSize + 1, 1'000'000u}) {
+    EXPECT_THROW((void)distance_symbol(dist), DecodeError) << dist;
+  }
+}
+
 // --- lfz container ----------------------------------------------------------------
 
 class LfzRoundTrip : public ::testing::TestWithParam<std::size_t> {};

@@ -10,6 +10,9 @@
 //     invariants (the satellite-4 regression tests);
 //   - batched builders (RaycastBuilder across views, Renderer across rows)
 //     produce pixels identical to their serial counterparts;
+//   - the parallel publisher uploads exactly the bytes a serial build gives
+//     for every real view set, and rethrows a failed build instead of
+//     hanging;
 //   - the multi-client session driver converges with no deadlock under a
 //     fault plan, and its virtual-time results do not depend on whether a
 //     worker pool is attached.
@@ -18,7 +21,9 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "compress/lfz.hpp"
@@ -27,9 +32,11 @@
 #include "lightfield/renderer.hpp"
 #include "lors/lors.hpp"
 #include "obs/metrics.hpp"
+#include "session/publisher.hpp"
 #include "session/scenario.hpp"
 #include "streaming/cache.hpp"
 #include "streaming/pipeline.hpp"
+#include "util/checksum.hpp"
 #include "util/thread_pool.hpp"
 #include "volume/synthetic.hpp"
 #include "volume/transfer.hpp"
@@ -409,6 +416,112 @@ TEST(BatchedGeneration, RendererRowParallelismDoesNotChangePixels) {
   const render::ImageRGB8 serial = renderer.render(dir, 64);
   const render::ImageRGB8 pooled = renderer.render(dir, 64, 1.0, &pool);
   EXPECT_EQ(serial, pooled);
+}
+
+// --- parallel publish ---------------------------------------------------------------
+
+/// One server, one depot and a DVS: just enough world to publish into.
+struct PublishHarness {
+  PublishHarness() : net(sim), fabric(sim, net), lors(sim, net, fabric) {
+    server = net.add_node("server");
+    const sim::NodeId depot = net.add_node("depot");
+    net.add_link(server, depot, {1e9, kMillisecond, 0.0});
+    ibp::DepotConfig cfg;
+    cfg.capacity_bytes = 1 << 30;
+    fabric.add_depot(depot, "d0", cfg);
+    dvs_node = depot;
+  }
+
+  sim::Simulator sim;
+  sim::Network net;
+  ibp::Fabric fabric;
+  lors::Lors lors;
+  sim::NodeId server = 0;
+  sim::NodeId dvs_node = 0;
+};
+
+lightfield::LatticeConfig publish_lattice() {
+  lightfield::LatticeConfig cfg;
+  cfg.angular_step_deg = 7.5;  // 24 x 48 lattice, 8 x 16 = 128 view sets
+  cfg.view_set_span = 3;
+  cfg.view_resolution = 16;
+  return cfg;
+}
+
+TEST(ParallelPublish, PayloadsMatchSerialBuildsForEveryRealId) {
+  lightfield::ProceduralSource source(publish_lattice());
+  const auto all = source.lattice().all_view_sets();
+  ASSERT_GT(all.size(), ThreadPool::shared().size());
+
+  struct Mode {
+    std::uint64_t chunk_bytes;
+    bool lfz2;
+  };
+  for (const Mode mode : {Mode{0, false}, Mode{1024, false}, Mode{1024, true}}) {
+    PublishHarness h;
+    streaming::DvsServer dvs(h.sim, h.net, h.dvs_node, source.lattice());
+    session::PublishOptions options;
+    options.depots = {"d0"};
+    options.chunk_bytes = mode.chunk_bytes;
+    options.lfz2 = mode.lfz2;
+    options.pool = &ThreadPool::shared();
+    const session::PublishResult result =
+        session::publish_database(h.sim, h.lors, dvs, source, h.server, options);
+    ASSERT_EQ(result.published, all.size());
+    ASSERT_EQ(result.real, all.size());
+    ASSERT_EQ(result.exnodes.size(), all.size());
+
+    std::uint64_t serial_bytes = 0;
+    for (const auto& [id, node] : result.exnodes) {
+      const Bytes serial =
+          source.build_compressed(id, mode.chunk_bytes, nullptr, mode.lfz2);
+      serial_bytes += serial.size();
+      ASSERT_EQ(node.length(), serial.size()) << id.key();
+      ASSERT_FALSE(node.extents().empty());
+      for (const exnode::Extent& extent : node.extents()) {
+        ASSERT_TRUE(extent.checksum.has_value());
+        const auto bytes = std::span(serial).subspan(extent.offset, extent.length);
+        EXPECT_EQ(*extent.checksum, crc32(bytes)) << id.key() << " @" << extent.offset;
+      }
+    }
+    EXPECT_EQ(result.compressed_bytes, serial_bytes);
+    const auto count = static_cast<double>(all.size());
+    EXPECT_DOUBLE_EQ(result.mean_compressed, static_cast<double>(serial_bytes) / count);
+  }
+}
+
+/// A procedural source whose build fails for one view set.
+class FailingSource final : public lightfield::ViewSetSource {
+ public:
+  FailingSource(const lightfield::LatticeConfig& config, lightfield::ViewSetId bad)
+      : inner_(config), bad_(bad) {}
+
+  [[nodiscard]] const lightfield::SphericalLattice& lattice() const override {
+    return inner_.lattice();
+  }
+
+  [[nodiscard]] lightfield::ViewSet build(const lightfield::ViewSetId& id) override {
+    if (id == bad_) throw std::runtime_error("build failed for " + id.key());
+    return inner_.build(id);
+  }
+
+ private:
+  lightfield::ProceduralSource inner_;
+  lightfield::ViewSetId bad_;
+};
+
+TEST(ParallelPublish, BuildFailureIsRethrownWithoutHanging) {
+  FailingSource source(publish_lattice(), {3, 5});
+  PublishHarness h;
+  streaming::DvsServer dvs(h.sim, h.net, h.dvs_node, source.lattice());
+  session::PublishOptions options;
+  options.depots = {"d0"};
+  const auto publish = [&] {
+    return session::publish_database(h.sim, h.lors, dvs, source, h.server, options);
+  };
+  EXPECT_THROW((void)publish(), std::runtime_error);
+  // Nothing was uploaded: the failure surfaces before pass 3.
+  EXPECT_FALSE(dvs.knows({0, 0}));
 }
 
 // --- multi-client driver -----------------------------------------------------------

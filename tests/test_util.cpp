@@ -2,11 +2,13 @@
 // thread pool, and 3-D / spherical math.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <future>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,6 +148,41 @@ TEST(Checksum, Crc32DetectsBitFlip) {
   const auto clean = crc32(data);
   data[17] ^= 0x01;
   EXPECT_NE(crc32(data), clean);
+}
+
+/// The byte-at-a-time table loop crc32 used before slicing-by-8: the
+/// reference the fast kernel must match bit for bit.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data, std::uint32_t crc) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = crc ^ 0xffffffffu;
+  for (std::uint8_t byte : data) c = table[(c ^ byte) & 0xff] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+TEST(Checksum, Crc32SlicingMatchesBytewiseReference) {
+  Rng rng(318);
+  Bytes buffer(4096 + 16);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::span<const std::uint8_t> all(buffer);
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    // Misaligned starts and a chained (nonzero) incoming crc.
+    const std::size_t offset = len % 9;
+    const auto chained = static_cast<std::uint32_t>(rng.next());
+    const auto data = all.subspan(offset, len);
+    ASSERT_EQ(crc32(data), crc32_bytewise(data, 0)) << "len=" << len << " at " << offset;
+    ASSERT_EQ(crc32(data, chained), crc32_bytewise(data, chained)) << "len=" << len;
+  }
+  // Chaining across an arbitrary split equals one pass over the whole.
+  for (std::size_t split = 0; split <= 64; ++split) {
+    const auto head = all.subspan(3, split);
+    const auto tail = all.subspan(3 + split, 1000);
+    EXPECT_EQ(crc32(tail, crc32(head)), crc32(all.subspan(3, split + 1000)));
+  }
 }
 
 // --- rng ---------------------------------------------------------------------
