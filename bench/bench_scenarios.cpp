@@ -78,6 +78,10 @@ constexpr CounterField kLodSiteFields[] = {
     {"stage_wan_bytes", "agent.stage_wan_bytes"},
     {"site_restage_leaders", "site.restage_leaders"},
     {"site_restage_keys", "site.restage_keys"},
+    {"site_fetch_leaders", "site.fetch_leaders"},
+    {"site_fetch_joins", "site.fetch_joins"},
+    {"site_fetch_keys", "site.fetch_keys"},
+    {"site_handoff_bytes", "site.handoff_bytes"},
 };
 
 unsigned long long total(const session::ScenarioResult& r, const char* counter) {

@@ -47,7 +47,9 @@ to BENCH_pr.json, and compares them against the committed BENCH_baseline.json:
       set over the WAN exactly once (restage leaders == distinct keys, with
       strictly fewer WAN bytes and a no-worse p99 than the
       every-agent-restages-alone control, and the coalescing counters
-      bit-identical to the baseline), and on
+      bit-identical to the baseline) while at least one WAN fetch joins a
+      co-sited agent's flight (the control touching none of the site fetch
+      counters), and on
       the PDA-class constrained link continuous LOD streaming holds every
       access inside the deadline (zero misses, nonzero coarse serves, every
       background refinement reaching full resolution) while the
@@ -403,6 +405,10 @@ def check_prefetch(pr, base, tolerance):
               f"{hybrid['pollution_evictions']} vs {lru['pollution_evictions']}")
 
 
+SITE_FETCH_KEYS = ("site_fetch_leaders", "site_fetch_joins", "site_fetch_keys",
+                   "site_handoff_bytes")
+
+
 def check_scenarios(pr, base, tolerance):
     """Deterministic SLO harness: per-row baselines + same-run invariants."""
     base_rows = {row["name"]: row for row in base.get("results", [])}
@@ -515,6 +521,15 @@ def check_scenarios(pr, base, tolerance):
                 ctrl.get("site_restage_leaders", 0) != 0:
             fail("scenarios[co_sited]: the control row touched the site cache "
                  "(feature-off run is not actually off)")
+        # Site-wide fetch flight: co-sited agents demanding or prefetching
+        # the same view set share one WAN download.
+        if site.get("site_fetch_joins", 0) == 0:
+            fail("scenarios[co_sited]: no WAN fetch ever joined a co-sited "
+                 "agent's flight (site fetch flight dark)")
+        touched = [k for k in SITE_FETCH_KEYS if ctrl.get(k, 0) != 0]
+        if touched:
+            fail(f"scenarios[co_sited]: the control row touched the site fetch "
+                 f"flight ({', '.join(touched)})")
         if all("co_sited" not in f for f in HARD_FAILURES):
             saved = 1.0 - site["stage_wan_bytes"] / ctrl["stage_wan_bytes"]
             print(f"ok:   scenarios[co_sited]: {leaders} stagings for {keys} "
@@ -531,7 +546,7 @@ def check_scenarios(pr, base, tolerance):
             continue
         for key in ("restaged", "restage_coalesced", "site_adopted",
                     "stage_wan_bytes", "site_restage_leaders",
-                    "site_restage_keys"):
+                    "site_restage_keys") + SITE_FETCH_KEYS:
             got, want = row.get(key), ref.get(key)
             if want is not None and got != want:
                 fail(f"scenarios[{name}]: {key} {got} != baseline {want} "

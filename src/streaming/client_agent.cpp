@@ -4,10 +4,19 @@
 #include <limits>
 #include <stdexcept>
 
-#include "streaming/site_cache.hpp"
 #include "util/log.hpp"
 
 namespace lon::streaming {
+
+namespace {
+
+/// A flight served from this class leaves the site: it crosses the WAN to
+/// the server depots, whether the exNode was published or just generated.
+bool wan_bound(AccessClass cls) {
+  return cls == AccessClass::kWan || cls == AccessClass::kGenerated;
+}
+
+}  // namespace
 
 const char* to_string(AccessClass cls) {
   switch (cls) {
@@ -250,7 +259,12 @@ void ClientAgent::fetch(const lightfield::ViewSetId& id, RichDeliverCallback cb,
   //    with an ongoing prefetch — part of the latency is already hidden).
   auto it = inflight_.find(id);
   if (it != inflight_.end()) {
-    it->second.waiters.push_back(Waiter{std::move(cb), sim_.now(), demand, parent});
+    obs::SpanId join = 0;
+    if (demand) {
+      join = obs_.trace.begin("agent.join", sim_.now(), parent);
+      obs_.trace.arg(join, "view_set", id.key());
+    }
+    it->second.waiters.push_back(Waiter{std::move(cb), sim_.now(), demand, parent, join});
     return;
   }
 
@@ -344,13 +358,19 @@ void ClientAgent::resolve_and_download(const lightfield::ViewSetId& id, bool all
   // Known exNode?
   if (auto cached = exnode_cache_.find(id); cached != exnode_cache_.end()) {
     const AccessClass cls = classify(cached->second);
-    // Coarse substitution only pays when the full fetch would be WAN-bound.
-    if (cls == AccessClass::kWan && want > 0 && try_lod(id, want)) return;
+    if (wan_bound(cls)) {
+      // Coarse substitution only pays when the full fetch would be WAN-bound.
+      if (want > 0 && try_lod(id, want)) return;
+      if (join_site_flight(id, 0)) return;
+    }
     download(id, cached->second, cls);
     return;
   }
   // Unknown exNode means a WAN round trip at best — degrade before asking.
   if (want > 0 && try_lod(id, want)) return;
+  // The DVS query is where this flight first leaves the site: a co-sited
+  // agent already fetching the same view set serves it, DVS trip included.
+  if (join_site_flight(id, 0)) return;
   // Ask the DVS (runtime generation allowed: the miss path of section 3.6).
   // The ambient register parents the DVS query span under this fetch.
   const auto flight = inflight_.find(id);
@@ -365,7 +385,9 @@ void ClientAgent::resolve_and_download(const lightfield::ViewSetId& id, bool all
                        return;
                      }
                      exnode_cache_[id] = result.exnode;
-                     download(id, result.exnode, classify(result.exnode));
+                     download(id, result.exnode,
+                              result.generated ? AccessClass::kGenerated
+                                               : classify(result.exnode));
                    });
 }
 
@@ -375,13 +397,19 @@ bool ClientAgent::try_lod(const lightfield::ViewSetId& id, int lod) {
   if (it == inflight_.end()) return false;
   // Only demand traffic degrades; a refinement exists to fetch full bytes.
   if (it->second.origin == Origin::kRefine || !it->second.demanded()) return false;
+  // The coarse tier's DVS query leaves the site too: coalesce per (id, lod).
+  if (join_site_flight(id, lod)) return true;
   const obs::Tracer::Ambient ambient(obs_.trace, it->second.span);
   config_.lod_tiers[static_cast<std::size_t>(lod) - 1].dvs->query_async(
       node_, id, /*generate_if_missing=*/false,
       [this, id, lod](const DvsServer::QueryResult& result) {
         if (!result.found) {
-          // No coarse copy either — fall through to the full-resolution
-          // path, with coarse lookups suppressed to break the recursion.
+          // No coarse copy either — release any site followers of this
+          // tier, then fall through to the full-resolution path, with
+          // coarse lookups suppressed to break the recursion.
+          if (auto flight = inflight_.find(id); flight != inflight_.end()) {
+            finish_site_flight(id, flight->second, nullptr);
+          }
           resolve_and_download(id, /*allow_coarse=*/false);
           return;
         }
@@ -417,11 +445,12 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
                            AccessClass cls) {
   auto it = inflight_.find(id);
   if (it != inflight_.end()) it->second.cls = cls;
-  if (cls == AccessClass::kWan) metrics_.demand_wan_active.add(1);
+  const bool wan = wan_bound(cls);
+  if (wan) metrics_.demand_wan_active.add(1);
 
   lors::DownloadOptions options;
   // WAN downloads stripe over four parallel streams, LAN-depot reads over two.
-  options.net.streams = (cls == AccessClass::kLanDepot) ? 2 : 4;
+  options.net.streams = wan ? 4 : 2;
   options.retry = config_.retry;
   options.parent_span = it != inflight_.end() ? it->second.span : 0;
   // CPU work off the simulator thread: stripe verification batches across
@@ -440,8 +469,8 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
     };
   }
   lors_.download_async(node_, exnode, options,
-                       [this, id, cls, pipeline](lors::DownloadResult result) {
-                         if (cls == AccessClass::kWan) {
+                       [this, id, wan, pipeline](lors::DownloadResult result) {
+                         if (wan) {
                            metrics_.demand_wan_active.add(-1);
                            staging_pump();  // resume if paused on miss
                          }
@@ -497,6 +526,79 @@ void ClientAgent::download(const lightfield::ViewSetId& id, const exnode::ExNode
                        });
 }
 
+bool ClientAgent::join_site_flight(const lightfield::ViewSetId& id, int lod) {
+  if (config_.site_cache == nullptr) return false;
+  auto it = inflight_.find(id);
+  if (it == inflight_.end() || it->second.site_joined) return false;
+  Inflight& flight = it->second;
+  flight.site_joined = true;
+  if (config_.site_cache->begin_fetch(
+          id, lod, [this, id, lod](const SiteCache::Handoff& h) { take_handoff(id, lod, h); })) {
+    flight.site_lod = lod;
+    return false;
+  }
+  flight.site_wait = obs_.trace.begin("site.wait", sim_.now(), flight.span);
+  obs_.trace.arg(flight.site_wait, "view_set", id.key());
+  return true;
+}
+
+void ClientAgent::take_handoff(const lightfield::ViewSetId& id, int lod,
+                               const SiteCache::Handoff& handoff) {
+  auto it = inflight_.find(id);
+  if (it == inflight_.end()) return;
+  const obs::SpanId wait = it->second.site_wait;
+  obs_.trace.arg(wait, "leader", static_cast<std::uint64_t>(handoff.leader));
+  if (handoff.payload == nullptr || !net_.reachable(handoff.leader, node_)) {
+    // The leader failed (or its host dropped off the LAN). Resolve alone: a
+    // fresh attempt of this flight, not a refetch, so no max_refetch budget
+    // is spent.
+    obs_.trace.arg(wait, "outcome", "released");
+    obs_.trace.end(wait, sim_.now());
+    resolve_and_download(id);
+    return;
+  }
+  it->second.cls = AccessClass::kWan;
+  if (lod > 0) {
+    it->second.lod = lod;
+    obs_.trace.arg(it->second.span, "lod", std::to_string(lod));
+  } else if (!handoff.exnode.extents().empty()) {
+    // The leader's exNode too: this agent's later refetches and staging of
+    // the set skip the DVS round trip the follower never made.
+    exnode_cache_[id] = handoff.exnode;
+  }
+  sim::TransferOptions options;
+  options.streams = 2;  // striped like a LAN-depot read
+  net_.start_transfer(
+      handoff.leader, node_, handoff.payload->size(), options,
+      [this, id, wait, payload = handoff.payload](const sim::TransferResult& result) {
+        obs_.trace.arg(wait, "outcome", result.cancelled ? "cancelled" : "handoff");
+        obs_.trace.end(wait, sim_.now());
+        if (result.cancelled) {
+          resolve_and_download(id);
+          return;
+        }
+        // Aliased, not copied: the follower's cache and deliveries share the
+        // leader's slab.
+        finish_fetch(id, payload, 0);
+      });
+}
+
+void ClientAgent::finish_site_flight(const lightfield::ViewSetId& id, Inflight& flight,
+                                     std::shared_ptr<const Bytes> payload) {
+  if (flight.site_lod < 0) return;
+  SiteCache::Handoff handoff;
+  handoff.leader = node_;
+  if (flight.lod == flight.site_lod && payload != nullptr) {
+    handoff.payload = std::move(payload);
+    if (auto known = exnode_cache_.find(id); known != exnode_cache_.end()) {
+      handoff.exnode = known->second;
+    }
+  }
+  const int lod = flight.site_lod;
+  flight.site_lod = -1;
+  config_.site_cache->finish_fetch(id, lod, handoff);
+}
+
 void ClientAgent::invalidate(const lightfield::ViewSetId& id, bool drop_staged) {
   metrics_.invalidations.inc();
   obs_.trace.instant("agent.invalidate", sim_.now());
@@ -533,7 +635,8 @@ void ClientAgent::on_site_invalidate(const lightfield::ViewSetId& id) {
   queue_restage(id);
 }
 
-void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<Bytes> data,
+void ClientAgent::finish_fetch(const lightfield::ViewSetId& id,
+                               std::shared_ptr<const Bytes> data,
                                std::uint64_t copied_bytes,
                                const std::shared_ptr<DecompressPipeline>& pipeline) {
   auto it = inflight_.find(id);
@@ -544,11 +647,12 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
 
   const bool ok = data != nullptr && !data->empty();
   const bool demanded = flight.demanded();
-  // The pooled download slab is handed onward by reference — cache entries
-  // and deliveries all alias it; nothing below copies a payload byte.
+  // The pooled download slab is handed onward by reference — cache entries,
+  // deliveries and co-sited followers all alias it; nothing below copies a
+  // payload byte.
   std::shared_ptr<const Bytes> payload =
-      data != nullptr ? std::shared_ptr<const Bytes>(std::move(data))
-                      : std::make_shared<const Bytes>();
+      data != nullptr ? std::move(data) : std::make_shared<const Bytes>();
+  finish_site_flight(id, flight, ok ? payload : nullptr);
   metrics_.payload_copy_bytes.inc(copied_bytes);
   // A prefetch the user never caught up with is the speculative kind the
   // eviction policy may sacrifice or refuse; one a demand request joined is
@@ -626,6 +730,10 @@ void ClientAgent::finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<
   obs_.trace.end(flight.span, sim_.now());
 
   for (const Waiter& waiter : flight.waiters) {
+    if (waiter.join != 0) {
+      obs_.trace.arg(waiter.join, "outcome", ok ? "ok" : "failed");
+      obs_.trace.end(waiter.join, sim_.now());
+    }
     if (waiter.demand) {
       switch (flight.cls) {
         case AccessClass::kLanDepot:
@@ -905,33 +1013,37 @@ void ClientAgent::stage_one(const lightfield::ViewSetId& id) {
     }
   }
 
+  // Single flight, joined before the exNode is resolved — the point where
+  // staging first leaves the site: N co-sited agents racing to (re)stage
+  // the same view set collapse to one WAN copy and one DVS query. Followers
+  // park a callback and adopt whatever the leader's copy turns out to be.
+  // A leader never finds its key published mid-flight: only the leader of
+  // a key publishes it.
+  if (config_.site_cache != nullptr) {
+    const bool leader = config_.site_cache->begin_restage(
+        id, 0, [this, id, span](bool ok, const exnode::ExNode& staged) {
+          --staging_inflight_;
+          staging_ids_.erase(id);
+          if (ok) {
+            metrics_.staged.inc();
+            staged_[id] = staged;
+            exnode_cache_[id] = staged;
+          } else {
+            metrics_.staging_failures.inc();
+          }
+          obs_.trace.arg(span, "outcome", ok ? "coalesced" : "coalesced-failed");
+          obs_.trace.end(span, sim_.now());
+          staging_pump();
+        });
+    if (!leader) {
+      metrics_.restage_coalesced.inc();
+      return;
+    }
+  }
+
   // Resolve the exNode first (cheap control traffic), then issue third-party
   // copies toward a LAN depot. The data path is depot-to-depot.
   auto do_stage = [this, id, span](const exnode::ExNode& exnode) {
-    // Single-flight: N co-sited agents racing to (re)stage the same view
-    // set collapse to one WAN fetch. Followers park a callback and adopt
-    // whatever the leader's copy turns out to be.
-    if (config_.site_cache != nullptr) {
-      const bool leader = config_.site_cache->begin_restage(
-          id, 0, [this, id, span](bool ok, const exnode::ExNode& staged) {
-            --staging_inflight_;
-            staging_ids_.erase(id);
-            if (ok) {
-              metrics_.staged.inc();
-              staged_[id] = staged;
-              exnode_cache_[id] = staged;
-            } else {
-              metrics_.staging_failures.inc();
-            }
-            obs_.trace.arg(span, "outcome", ok ? "coalesced" : "coalesced-failed");
-            obs_.trace.end(span, sim_.now());
-            staging_pump();
-          });
-      if (!leader) {
-        metrics_.restage_coalesced.inc();
-        return;
-      }
-    }
     lors::AugmentOptions options;
     options.target_depot = config_.lan_depots[staging_rr_++ % config_.lan_depots.size()];
     options.preferred = true;  // downloads should find the LAN replica first
@@ -984,27 +1096,11 @@ void ClientAgent::stage_one(const lightfield::ViewSetId& id) {
                        staging_ids_.erase(id);
                        obs_.trace.arg(span, "outcome", "unresolved");
                        obs_.trace.end(span, sim_.now());
+                       if (config_.site_cache != nullptr) {
+                         config_.site_cache->finish_restage(id, 0, false, {});
+                       }
                        staging_pump();
                        return;
-                     }
-                     // The DVS round trip took virtual time: a co-sited
-                     // leader may have finished (and published) this very
-                     // view set meanwhile. Re-check the index so the late
-                     // arrival adopts instead of leading a redundant
-                     // second restage.
-                     if (config_.site_cache != nullptr) {
-                       if (auto site = config_.site_cache->lookup(id);
-                           site.has_value()) {
-                         metrics_.site_adopted.inc();
-                         staged_[id] = *site;
-                         exnode_cache_[id] = *site;
-                         --staging_inflight_;
-                         staging_ids_.erase(id);
-                         obs_.trace.arg(span, "outcome", "site-adopted");
-                         obs_.trace.end(span, sim_.now());
-                         staging_pump();
-                         return;
-                       }
                      }
                      exnode_cache_[id] = result.exnode;
                      do_stage(result.exnode);

@@ -9,7 +9,9 @@
 //   1. the agent's own memory cache (a *hit*);
 //   2. a depot on the client's LAN, if the view set has been prestaged there;
 //   3. the wide area network (LoRS multi-stream download from the server
-//      depots named by the exNode, obtained from the DVS).
+//      depots named by the exNode, obtained from the DVS). With a site
+//      cache, co-sited agents after the same view set share one WAN flight:
+//      the first leads, the others receive its bytes over the LAN.
 //
 // Two anticipation mechanisms run on top:
 //   * quadrant prefetch (figure 4): the cursor's quadrant within the current
@@ -43,11 +45,10 @@
 #include "streaming/cache.hpp"
 #include "streaming/dvs.hpp"
 #include "streaming/pipeline.hpp"
+#include "streaming/site_cache.hpp"
 #include "streaming/types.hpp"
 
 namespace lon::streaming {
-
-class SiteCache;
 
 /// Modeled cost of serving a view set out of the agent's memory cache —
 /// the ~1e-4 s "hit" line of figure 12.
@@ -123,7 +124,9 @@ struct ClientAgentConfig {
   /// Cooperative site cache shared by every co-sited agent (null = none).
   /// With it, staging first consults the shared index (adopting copies a
   /// neighbour already staged), restages of the same view set coalesce into
-  /// one WAN fetch, and lease expiry invalidates all agents atomically.
+  /// one WAN fetch, every fetch that would leave the site joins one
+  /// site-wide flight per (view set, lod), and lease expiry invalidates all
+  /// agents atomically.
   SiteCache* site_cache = nullptr;
 
   // --- Concurrency ----------------------------------------------------------
@@ -337,6 +340,7 @@ class ClientAgent {
     SimTime arrived = 0;
     bool demand = false;  ///< prefetches and refinements pass a null callback
     obs::SpanId parent = 0;
+    obs::SpanId join = 0;  ///< agent.join span of a demand that joined the flight
   };
   /// Who started a flight. Only kDemand flights hold an admission slot; only
   /// kPrefetch flights hold a prefetch slot and budget charge; kRefine is
@@ -355,6 +359,12 @@ class ClientAgent {
     /// agent drops that copy exactly once (see the drop_staged plumbing) —
     /// this is what keeps agent.restaged from double-counting one incident.
     bool from_staged = false;
+    /// The flight has been through the site-wide single flight (led it,
+    /// followed it, or was released by a failed leader): it never parks
+    /// again, so a leader's own refetch cannot wait on its own key.
+    bool site_joined = false;
+    int site_lod = -1;  ///< tier of the site flight this flight leads (-1 = none)
+    obs::SpanId site_wait = 0;  ///< site.wait span while parked on a leader
 
     /// A demand request is waiting on this flight: it started it, or caught
     /// up with a prefetch or refinement already under way.
@@ -422,10 +432,25 @@ class ClientAgent {
   void download(const lightfield::ViewSetId& id, const exnode::ExNode& exnode,
                 AccessClass cls);
 
+  /// Site-wide single flight, called where the flight for `id` would first
+  /// leave the site at tier `lod` (before the DVS query or a WAN download).
+  /// Returns true if the flight parked on a co-sited leader; false if it
+  /// leads (or there is no site cache) and must go on itself.
+  bool join_site_flight(const lightfield::ViewSetId& id, int lod);
+  /// A parked flight's leader finished the site flight for tier `lod`: pull
+  /// its payload across the LAN and finish as a WAN access, or — the leader
+  /// failed — resolve alone.
+  void take_handoff(const lightfield::ViewSetId& id, int lod,
+                    const SiteCache::Handoff& handoff);
+  /// A leading flight is done: hand `payload` (null = failed) to the site
+  /// flight's followers. Bytes at another tier than the key's never go out.
+  void finish_site_flight(const lightfield::ViewSetId& id, Inflight& flight,
+                          std::shared_ptr<const Bytes> payload);
+
   /// Completes a fetch: `data` is the pooled download slab (aliased into the
   /// cache and deliveries, never copied), `copied_bytes` the payload bytes
   /// physically copied obtaining it (LoRS landing passes).
-  void finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<Bytes> data,
+  void finish_fetch(const lightfield::ViewSetId& id, std::shared_ptr<const Bytes> data,
                     std::uint64_t copied_bytes,
                     const std::shared_ptr<DecompressPipeline>& pipeline = nullptr);
 

@@ -182,6 +182,7 @@ void DvsServer::query_async(sim::NodeId from, const lightfield::ViewSetId& id,
               install(id, exnode);
               metrics_.updates.inc();
               result.found = true;
+              result.generated = true;
               result.exnode = exnode;
             } else {
               metrics_.misses.inc();

@@ -103,6 +103,8 @@ class DvsServer {
     bool found = false;
     exnode::ExNode exnode;
     int levels = 0;  ///< tree hops this query made
+    /// The exNode was made by runtime generation on this query's miss.
+    bool generated = false;
   };
   using QueryCallback = std::function<void(const QueryResult&)>;
 

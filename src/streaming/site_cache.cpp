@@ -19,6 +19,10 @@ SiteCache::SiteCache(sim::Simulator& sim, SiteCacheConfig config, obs::Context* 
                scope_.counter("site.restage_leaders"),
                scope_.counter("site.restage_joins"),
                scope_.counter("site.restage_keys"),
+               scope_.counter("site.fetch_leaders"),
+               scope_.counter("site.fetch_joins"),
+               scope_.counter("site.fetch_keys"),
+               scope_.counter("site.handoff_bytes"),
                scope_.gauge("site.entries"),
                scope_.gauge("site.bytes")} {}
 
@@ -167,32 +171,66 @@ void SiteCache::invalidate(const lightfield::ViewSetId& id, int lod) {
 
 bool SiteCache::begin_restage(const lightfield::ViewSetId& id, int lod,
                               RestageCallback on_done) {
-  const Key key{id, lod};
-  std::lock_guard lock(mutex_);
-  auto [it, leader] = flights_.try_emplace(key);
-  if (!leader) {
-    metrics_.restage_joins.inc();
-    if (on_done) it->second.waiters.push_back(std::move(on_done));
-    return false;
+  FlightCallback cb;
+  if (on_done) {
+    cb = [on_done = std::move(on_done)](bool ok, const Handoff& handoff) {
+      on_done(ok, handoff.exnode);
+    };
   }
-  metrics_.restage_leaders.inc();
-  if (restaged_keys_.insert(key).second) metrics_.restage_keys.inc();
-  return true;
+  return begin({{id, lod}, FlightKind::kRestage}, std::move(cb));
 }
 
 void SiteCache::finish_restage(const lightfield::ViewSetId& id, int lod, bool ok,
                                const exnode::ExNode& exnode) {
-  const Key key{id, lod};
-  std::vector<RestageCallback> waiters;
+  finish({{id, lod}, FlightKind::kRestage}, ok, Handoff{exnode, nullptr, 0});
+}
+
+bool SiteCache::begin_fetch(const lightfield::ViewSetId& id, int lod,
+                            FetchCallback on_done) {
+  FlightCallback cb;
+  if (on_done) {
+    cb = [on_done = std::move(on_done)](bool, const Handoff& handoff) {
+      on_done(handoff);
+    };
+  }
+  return begin({{id, lod}, FlightKind::kFetch}, std::move(cb));
+}
+
+void SiteCache::finish_fetch(const lightfield::ViewSetId& id, int lod,
+                             const Handoff& handoff) {
+  finish({{id, lod}, FlightKind::kFetch}, handoff.payload != nullptr, handoff);
+}
+
+bool SiteCache::begin(const FlightKey& fk, FlightCallback on_done) {
+  const bool restage = fk.kind == FlightKind::kRestage;
+  std::lock_guard lock(mutex_);
+  auto [it, leader] = flights_.try_emplace(fk);
+  if (!leader) {
+    (restage ? metrics_.restage_joins : metrics_.fetch_joins).inc();
+    if (on_done) it->second.waiters.push_back(std::move(on_done));
+    return false;
+  }
+  (restage ? metrics_.restage_leaders : metrics_.fetch_leaders).inc();
+  if (flown_keys_.insert(fk).second) {
+    (restage ? metrics_.restage_keys : metrics_.fetch_keys).inc();
+  }
+  return true;
+}
+
+void SiteCache::finish(const FlightKey& fk, bool ok, const Handoff& handoff) {
+  std::vector<FlightCallback> waiters;
   {
     std::lock_guard lock(mutex_);
-    auto it = flights_.find(key);
+    auto it = flights_.find(fk);
     if (it == flights_.end()) return;
     waiters = std::move(it->second.waiters);
     flights_.erase(it);
   }
-  for (RestageCallback& cb : waiters) {
-    if (cb) cb(ok, exnode);
+  if (handoff.payload != nullptr) {
+    metrics_.handoff_bytes.inc(handoff.payload->size() * waiters.size());
+  }
+  for (FlightCallback& cb : waiters) {
+    if (cb) cb(ok, handoff);
   }
 }
 

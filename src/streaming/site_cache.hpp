@@ -7,10 +7,12 @@
 // serves it LAN-locally instead of restaging the same bytes over the WAN.
 // Three mechanisms keep the index honest:
 //
-//   * single-flight restage coalescing — N agents racing to (re)stage the
-//     same (ViewSetId, lod) collapse to one WAN fetch: the first caller of
-//     begin_restage becomes the leader and performs the copy, everyone else
-//     queues a callback that fires when the leader calls finish_restage;
+//   * single flight — N agents racing to (re)stage, or to fetch, the same
+//     (ViewSetId, lod) across the WAN collapse to one WAN flight: the first
+//     caller of begin_restage / begin_fetch becomes the leader and does the
+//     work, everyone else queues a callback that fires when the leader calls
+//     finish_restage / finish_fetch. Restages and fetches share one flight
+//     table, keyed by kind as well, so a restage never parks on a fetch;
 //   * lease-aware invalidation — entries carry the staging lease's expiry;
 //     at that instant (a simulator timer, plus a lazy check on every
 //     lookup) the entry is dropped and every registered listener is told,
@@ -22,7 +24,7 @@
 //
 // Thread safety: the index is mutex-guarded and the counters are atomic —
 // agents on the simulator thread and tests hammering from a pool may call
-// concurrently. Listener and restage callbacks are invoked outside the
+// concurrently. Listener and flight callbacks are invoked outside the
 // lock. Expiry timers touch the simulator and are therefore only scheduled
 // when config.expiry_timers is set (off in the multi-threaded hammer).
 #pragma once
@@ -30,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -39,7 +42,9 @@
 #include "exnode/exnode.hpp"
 #include "lightfield/viewset.hpp"
 #include "obs/obs.hpp"
+#include "simnet/network.hpp"
 #include "simnet/simulator.hpp"
+#include "util/bytes.hpp"
 
 namespace lon::streaming {
 
@@ -69,6 +74,10 @@ class SiteCache {
     obs::Counter& restage_leaders;  ///< begin_restage calls that led
     obs::Counter& restage_joins;    ///< begin_restage calls that joined
     obs::Counter& restage_keys;     ///< distinct (id, lod) keys ever restaged
+    obs::Counter& fetch_leaders;    ///< begin_fetch calls that led
+    obs::Counter& fetch_joins;      ///< begin_fetch calls that joined
+    obs::Counter& fetch_keys;       ///< distinct (id, lod) keys ever fetched
+    obs::Counter& handoff_bytes;    ///< payload bytes handed leader -> followers
     obs::Gauge& entries;            ///< resident index entries now
     obs::Gauge& bytes;              ///< tracked payload bytes now
   };
@@ -79,6 +88,17 @@ class SiteCache {
       std::function<void(const lightfield::ViewSetId& id, int lod)>;
   /// Completion of a coalesced restage a follower joined.
   using RestageCallback = std::function<void(bool ok, const exnode::ExNode& exnode)>;
+  /// What a leader hands its parked followers. A restage hands the staged
+  /// copy's exNode. A fetch hands the payload slab (aliased, never copied),
+  /// the exNode it was downloaded through, and the node the hand-off leaves
+  /// from; a failed fetch hands a null payload, and each follower resolves
+  /// on its own.
+  struct Handoff {
+    exnode::ExNode exnode;
+    std::shared_ptr<const Bytes> payload;
+    sim::NodeId leader = 0;
+  };
+  using FetchCallback = std::function<void(const Handoff& handoff)>;
 
   SiteCache(sim::Simulator& sim, SiteCacheConfig config = {},
             obs::Context* obs = nullptr);
@@ -113,6 +133,14 @@ class SiteCache {
   void finish_restage(const lightfield::ViewSetId& id, int lod, bool ok,
                       const exnode::ExNode& exnode);
 
+  /// The same single flight for an agent fetch that would leave the site
+  /// (DVS query or WAN download): true = the caller leads and fetches;
+  /// false = `on_done` fires when the leader calls finish_fetch.
+  bool begin_fetch(const lightfield::ViewSetId& id, int lod, FetchCallback on_done);
+  /// Leader's completion: hands `handoff` (a null payload = the leader
+  /// failed) to every parked follower.
+  void finish_fetch(const lightfield::ViewSetId& id, int lod, const Handoff& handoff);
+
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] std::size_t size() const;
 
@@ -137,9 +165,29 @@ class SiteCache {
     std::uint64_t generation = 0;  ///< republish invalidates older timers
     std::list<Key>::iterator lru;  ///< position in lru_ (front = most recent)
   };
-  struct Flight {
-    std::vector<RestageCallback> waiters;
+  enum class FlightKind : std::uint8_t { kRestage, kFetch };
+  struct FlightKey {
+    Key key;
+    FlightKind kind = FlightKind::kRestage;
+    bool operator==(const FlightKey& other) const {
+      return key == other.key && kind == other.kind;
+    }
   };
+  struct FlightKeyHash {
+    std::size_t operator()(const FlightKey& fk) const {
+      return KeyHash{}(fk.key) * 2u + static_cast<std::size_t>(fk.kind);
+    }
+  };
+  /// A follower's completion, whatever the flight's kind.
+  using FlightCallback = std::function<void(bool ok, const Handoff& handoff)>;
+  struct Flight {
+    std::vector<FlightCallback> waiters;
+  };
+
+  /// The one single-flight path behind begin_restage and begin_fetch.
+  bool begin(const FlightKey& fk, FlightCallback on_done);
+  /// The one completion path behind finish_restage and finish_fetch.
+  void finish(const FlightKey& fk, bool ok, const Handoff& handoff);
 
   /// Removes `it` from the index under mutex_ (caller holds it).
   void erase_locked(std::unordered_map<Key, Entry, KeyHash>::iterator it);
@@ -160,8 +208,8 @@ class SiteCache {
   std::list<Key> lru_;  ///< front = most recently used
   std::uint64_t bytes_ = 0;
   std::uint64_t generation_ = 0;
-  std::unordered_map<Key, Flight, KeyHash> flights_;
-  std::unordered_set<Key, KeyHash> restaged_keys_;
+  std::unordered_map<FlightKey, Flight, FlightKeyHash> flights_;
+  std::unordered_set<FlightKey, FlightKeyHash> flown_keys_;  ///< feeds the *_keys counters
   std::unordered_map<std::size_t, InvalidateListener> listeners_;
   std::size_t next_listener_ = 0;
 };

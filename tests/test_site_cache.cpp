@@ -1,9 +1,9 @@
-// Cooperative site cache: single-flight restage coalescing, lease-aware
-// atomic invalidation, capacity-bounded eviction, the sharded DVS
-// directory, and the co-sited integration paths — including the restaged
-// double-count regression (a WAN-side retry must not destroy a healthy,
-// freshly restaged LAN replica nor count a second restage for one
-// incident).
+// Cooperative site cache: single-flight restage coalescing, the site-wide
+// fetch flight and its leader-to-follower hand-off, lease-aware atomic
+// invalidation, capacity-bounded eviction, the sharded DVS directory, and
+// the co-sited integration paths — including the restaged double-count
+// regression (a WAN-side retry must not destroy a healthy, freshly
+// restaged LAN replica nor count a second restage for one incident).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "lightfield/procedural.hpp"
@@ -103,6 +104,51 @@ TEST_F(SiteCacheTest, DistinctLodTiersAreSeparateFlights) {
   EXPECT_TRUE(site.begin_restage(id, 2, nullptr));  // other tier, own flight
   EXPECT_FALSE(site.begin_restage(id, 2, [](bool, const exnode::ExNode&) {}));
   EXPECT_EQ(site.metrics().restage_keys.value(), 2u);
+}
+
+TEST_F(SiteCacheTest, FetchFlightsKeyOnLodAndNeverMeetRestages) {
+  auto site_ptr = make();
+  SiteCache& site = *site_ptr;
+  const ViewSetId id{1, 1};
+  std::vector<SiteCache::Handoff> got;
+  const auto park = [&](const SiteCache::Handoff& h) { got.push_back(h); };
+  EXPECT_TRUE(site.begin_fetch(id, 0, park));
+  EXPECT_TRUE(site.begin_fetch(id, 1, park));   // other tier: its own flight
+  EXPECT_FALSE(site.begin_fetch(id, 1, park));  // same tier: joins
+  // A restage of the same key is a different flight kind: it leads.
+  EXPECT_TRUE(site.begin_restage(id, 0, nullptr));
+  EXPECT_EQ(site.metrics().fetch_leaders.value(), 2u);
+  EXPECT_EQ(site.metrics().fetch_joins.value(), 1u);
+  EXPECT_EQ(site.metrics().fetch_keys.value(), 2u);
+  EXPECT_EQ(site.metrics().restage_leaders.value(), 1u);
+
+  const auto payload = std::make_shared<const Bytes>(Bytes(300, 7));
+  site.finish_fetch(id, 1, {fake_exnode(id, 300), payload, /*leader=*/42});
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].payload, payload);  // aliased, not copied
+  EXPECT_EQ(got[0].leader, 42u);
+  EXPECT_EQ(got[0].exnode.length(), 300u);
+  EXPECT_EQ(site.metrics().handoff_bytes.value(), 300u);
+  // The tier-0 flight had no followers; finishing it hands nothing off.
+  site.finish_fetch(id, 0, {fake_exnode(id), payload, 42});
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(site.metrics().handoff_bytes.value(), 300u);
+  site.finish_restage(id, 0, true, fake_exnode(id));
+}
+
+TEST_F(SiteCacheTest, FailedFetchReleasesFollowersWithoutAPayload) {
+  auto site_ptr = make();
+  SiteCache& site = *site_ptr;
+  const ViewSetId id{3, 0};
+  std::optional<SiteCache::Handoff> got;
+  EXPECT_TRUE(site.begin_fetch(id, 0, nullptr));
+  EXPECT_FALSE(site.begin_fetch(id, 0, [&](const SiteCache::Handoff& h) { got = h; }));
+  site.finish_fetch(id, 0, {exnode::ExNode{}, nullptr, 5});
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, nullptr);
+  EXPECT_EQ(site.metrics().handoff_bytes.value(), 0u);
+  // The key is free again: the next caller leads.
+  EXPECT_TRUE(site.begin_fetch(id, 0, nullptr));
 }
 
 TEST_F(SiteCacheTest, FailedRestageResolvesFollowersWithFailure) {
@@ -487,9 +533,6 @@ class CoSitedPipelineTest : public ::testing::Test {
 
   ClientAgent& add_agent(bool use_site, SimDuration lease = 24 * 3600 * kSecond,
                          bool restage_on_failure = true) {
-    const sim::NodeId node =
-        net_.add_node("agent-" + std::to_string(agents_.size()));
-    net_.add_link(node, lan_switch_, {1e9, 50 * kMicrosecond, 0.0});
     ClientAgentConfig cfg;
     cfg.prefetch = false;
     cfg.staging = true;
@@ -498,9 +541,52 @@ class CoSitedPipelineTest : public ::testing::Test {
     cfg.staging_lease = lease;
     cfg.restage_on_failure = restage_on_failure;
     if (use_site) cfg.site_cache = site_.get();
+    return add_agent(cfg);
+  }
+
+  /// A browsing agent: no staging and no prefetch, so every demand miss is
+  /// a WAN fetch — the flight the site cache coalesces.
+  ClientAgent& add_browser(int max_refetch = 2) {
+    ClientAgentConfig cfg;
+    cfg.prefetch = false;
+    cfg.max_refetch = max_refetch;
+    cfg.site_cache = site_.get();
+    return add_agent(cfg);
+  }
+
+  ClientAgent& add_agent(const ClientAgentConfig& cfg) {
+    const sim::NodeId node =
+        net_.add_node("agent-" + std::to_string(agents_.size()));
+    net_.add_link(node, lan_switch_, {1e9, 50 * kMicrosecond, 0.0});
     agents_.push_back(std::make_unique<ClientAgent>(
         sim_, net_, fabric_, lors_, *dvs_, source_->lattice(), node, cfg, &obs_));
     return *agents_.back();
+  }
+
+  /// Bytes the WAN trunk carried toward the site so far.
+  std::uint64_t trunk_bytes_in() const {
+    const sim::LinkId trunk = net_.link_between(lan_switch_, wan_router_).value();
+    return net_.link_stats(trunk, /*forward=*/false).bytes_carried;
+  }
+
+  /// Demand request whose delivery is stored in `out`.
+  static void request(ClientAgent& agent, const ViewSetId& id,
+                      std::optional<ClientAgent::Delivery>& out) {
+    agent.request_view_set(id, [&out](const ClientAgent::Delivery& d) { out = d; });
+  }
+
+  /// The first span named `name`, or null.
+  const obs::Span* span_named(const std::string& name) const {
+    for (const obs::Span& span : obs_.trace.spans()) {
+      if (span.name == name) return &span;
+    }
+    return nullptr;
+  }
+  static std::string arg_of(const obs::Span& span, const std::string& key) {
+    for (const auto& [k, v] : span.args) {
+      if (k == key) return v;
+    }
+    return "";
   }
 
   sim::Simulator sim_;
@@ -651,6 +737,152 @@ TEST_F(CoSitedPipelineTest, LeaseExpiryWaveDropsEveryAgentAtomically) {
   EXPECT_EQ(site_->metrics().expirations.value(), sets);
 }
 
+// --- the site-wide fetch flight -----------------------------------------------
+
+// Two co-sited agents demand one view set in the same instant: one WAN
+// download serves both, the follower skips the DVS round trip and receives
+// the leader's slab over the LAN.
+TEST_F(CoSitedPipelineTest, ConcurrentCoSitedDemandsShareOneWanDownload) {
+  publish_all();
+  obs_.trace.set_enabled(true);
+  ClientAgent& leader = add_browser();
+  ClientAgent& follower = add_browser();
+  const ViewSetId id{1, 2};
+  const std::uint64_t trunk0 = trunk_bytes_in();
+  const std::uint64_t queries0 = dvs_->metrics().queries.value();
+  std::optional<ClientAgent::Delivery> a, b;
+  request(leader, id, a);
+  request(follower, id, b);
+  sim_.run();
+
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  ASSERT_EQ(a->status, DeliveryStatus::kOk);
+  ASSERT_EQ(b->status, DeliveryStatus::kOk);
+  const Bytes expected = source_->build_compressed(id);
+  EXPECT_EQ(*a->payload, expected);
+  EXPECT_EQ(*b->payload, expected);
+  EXPECT_EQ(a->payload, b->payload);  // one slab, aliased across agents
+  EXPECT_EQ(a->cls, AccessClass::kWan);
+  EXPECT_EQ(b->cls, AccessClass::kWan);
+  // The follower waited for the leader's bytes plus the LAN hand-off.
+  EXPECT_GE(b->comm_latency, a->comm_latency);
+  EXPECT_EQ(b->copied_bytes, 0u);
+
+  // One WAN download and one DVS query, site-wide.
+  const std::uint64_t trunk = trunk_bytes_in() - trunk0;
+  EXPECT_GE(trunk, expected.size());
+  EXPECT_LT(trunk, 2 * expected.size());
+  EXPECT_EQ(dvs_->metrics().queries.value() - queries0, 1u);
+  EXPECT_EQ(site_->metrics().fetch_leaders.value(), 1u);
+  EXPECT_EQ(site_->metrics().fetch_joins.value(), 1u);
+  EXPECT_EQ(site_->metrics().fetch_keys.value(), 1u);
+  EXPECT_EQ(site_->metrics().handoff_bytes.value(), expected.size());
+  EXPECT_EQ(leader.metrics().wan_accesses.value(), 1u);
+  EXPECT_EQ(follower.metrics().wan_accesses.value(), 1u);
+
+  // The follower's wait is a span of its own, naming the leader's node.
+  const obs::Span* wait = span_named("site.wait");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_FALSE(wait->open);
+  EXPECT_EQ(arg_of(*wait, "leader"), std::to_string(leader.node()));
+  EXPECT_EQ(arg_of(*wait, "outcome"), "handoff");
+  const obs::Span* parent = obs_.trace.find(wait->parent);
+  ASSERT_NE(parent, nullptr);
+  EXPECT_EQ(parent->name, "agent.fetch");
+}
+
+// The leader dies mid-download: its follower is released, resolves on its
+// own and still delivers, without spending its refetch budget.
+TEST_F(CoSitedPipelineTest, FollowerOfACrashedLeaderStillDelivers) {
+  publish_all();
+  ClientAgent& leader = add_browser(/*max_refetch=*/0);
+  ClientAgent& follower = add_browser();
+  const ViewSetId id{2, 5};
+  std::optional<ClientAgent::Delivery> a, b;
+  request(leader, id, a);
+  request(follower, id, b);
+  // Run until the leader's WAN download has bytes on the wire, then crash
+  // its host: every flow into the leader's node dies.
+  std::size_t killed = 0;
+  while (killed == 0 && sim_.step()) {
+    if (leader.demand_wan_active() > 0) killed = net_.cancel_node_flows(leader.node());
+  }
+  ASSERT_GT(killed, 0u);
+  sim_.run();
+
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(a->status, DeliveryStatus::kFailed);
+  ASSERT_EQ(b->status, DeliveryStatus::kOk);
+  EXPECT_EQ(*b->payload, source_->build_compressed(id));
+  EXPECT_EQ(b->cls, AccessClass::kWan);
+  EXPECT_EQ(follower.metrics().refetches.value(), 0u);
+  // The released follower fetched alone, outside any site flight: it
+  // neither led a second flight nor parked again.
+  EXPECT_EQ(site_->metrics().fetch_leaders.value(), 1u);
+  EXPECT_EQ(site_->metrics().fetch_joins.value(), 1u);
+  EXPECT_EQ(site_->metrics().handoff_bytes.value(), 0u);
+  EXPECT_EQ(leader.demand_wan_active(), 0);
+  EXPECT_EQ(follower.demand_wan_active(), 0);
+}
+
+// A leader whose first download fails refetches through the same resolve
+// path that parks followers: it must keep leading rather than park on its
+// own key, so the run drains and both agents are served.
+TEST_F(CoSitedPipelineTest, LeaderRefetchNeverParksOnItsOwnFlight) {
+  publish_all();
+  ClientAgent& leader = add_browser();
+  ClientAgent& follower = add_browser();
+  const ViewSetId id{0, 3};
+  for (const std::string& name : wan_depots_) fabric_.set_offline(name, true);
+  std::optional<ClientAgent::Delivery> a, b;
+  request(leader, id, a);
+  request(follower, id, b);
+  while (leader.metrics().refetches.value() == 0 && sim_.step()) {
+  }
+  ASSERT_EQ(leader.metrics().refetches.value(), 1u);
+  for (const std::string& name : wan_depots_) fabric_.set_offline(name, false);
+  sim_.run();  // returns only if nothing is left parked or pending
+
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_EQ(a->status, DeliveryStatus::kOk);
+  ASSERT_EQ(b->status, DeliveryStatus::kOk);
+  EXPECT_EQ(a->payload, b->payload);
+  EXPECT_EQ(leader.metrics().refetches.value(), 1u);
+  EXPECT_EQ(follower.metrics().refetches.value(), 0u);
+  EXPECT_EQ(site_->metrics().fetch_leaders.value(), 1u);
+  EXPECT_EQ(site_->metrics().fetch_joins.value(), 1u);
+  EXPECT_EQ(leader.demand_wan_active(), 0);
+  EXPECT_EQ(follower.demand_wan_active(), 0);
+}
+
+// With one agent at the site there is nobody to follow: every WAN fetch
+// leads, and a second demand for an id already in flight joins the agent's
+// own flight (an agent.join span), never the site flight.
+TEST_F(CoSitedPipelineTest, OneAgentSiteNeverParks) {
+  publish_all();
+  obs_.trace.set_enabled(true);
+  ClientAgent& agent = add_browser();
+  const std::vector<ViewSetId> ids = {{0, 0}, {1, 4}, {3, 7}};
+  std::vector<std::optional<ClientAgent::Delivery>> got(ids.size() + 1);
+  for (std::size_t i = 0; i < ids.size(); ++i) request(agent, ids[i], got[i]);
+  request(agent, ids[0], got.back());
+  sim_.run();
+
+  for (const auto& d : got) {
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(d->status, DeliveryStatus::kOk);
+  }
+  EXPECT_EQ(got.front()->payload, got.back()->payload);
+  EXPECT_EQ(site_->metrics().fetch_leaders.value(), ids.size());
+  EXPECT_EQ(site_->metrics().fetch_joins.value(), 0u);
+  EXPECT_EQ(site_->metrics().handoff_bytes.value(), 0u);
+  EXPECT_EQ(span_named("site.wait"), nullptr);
+  const obs::Span* join = span_named("agent.join");
+  ASSERT_NE(join, nullptr);
+  EXPECT_FALSE(join->open);
+  EXPECT_EQ(arg_of(*join, "outcome"), "ok");
+}
+
 // --- composed co-sited crowd scenario -----------------------------------------
 
 /// Run-wide total of one counter over every component instance.
@@ -671,11 +903,63 @@ TEST(CoSitedScenario, SiteCacheCollapsesTheRestageStampede) {
   EXPECT_EQ(total(site, "site.restage_leaders"), total(site, "site.restage_keys"));
   EXPECT_GT(total(site, "agent.restage_coalesced"), 0u);
   EXPECT_GT(total(site, "agent.site_adopted"), 0u);
+  // Concurrent WAN fetches of one view set share a single flight...
+  EXPECT_GT(total(site, "site.fetch_joins"), 0u);
+  EXPECT_GT(total(site, "site.handoff_bytes"), 0u);
   // ...which buys strictly fewer WAN bytes than everyone restaging alone.
   EXPECT_LT(total(site, "agent.stage_wan_bytes"), total(control, "agent.stage_wan_bytes"));
   // The control never touches the site machinery.
   EXPECT_EQ(total(control, "agent.restage_coalesced"), 0u);
   EXPECT_EQ(total(control, "site.restage_leaders"), 0u);
+  EXPECT_EQ(total(control, "site.fetch_leaders"), 0u);
+}
+
+// Continuous LOD behind a shared site: coarse demand serves and their
+// full-resolution refinements are separate (id, lod) flights. Each walk runs
+// twice in lockstep, once behind each of two agents, so every flight has a
+// co-sited twin to coalesce with — and the twins must see the same tier.
+TEST(CoSitedScenario, SiteFlightsCoalesceWithinOneLodTierOnly) {
+  session::Scenario s = session::pda_link(/*lod_streaming=*/true);
+  s.base.site_agents = 2;
+  s.base.site_cache = true;
+  std::vector<session::ScenarioClient> twins;
+  for (const session::ScenarioClient& c : s.clients) {
+    twins.push_back(c);  // client 2k   -> agent 0
+    twins.push_back(c);  // client 2k+1 -> agent 1
+  }
+  s.clients = std::move(twins);
+  const session::ScenarioResult r = session::run_scenario(s);
+
+  EXPECT_EQ(r.failed_accesses, 0u);
+  EXPECT_GT(total(r, "site.fetch_joins"), 0u);
+  EXPECT_GT(total(r, "agent.lod_coarse_serves"), 0u);
+  EXPECT_EQ(total(r, "agent.lod_refined"), total(r, "agent.lod_refinements"));
+  std::size_t coarse = 0;
+  for (std::size_t i = 0; i + 1 < r.clients.size(); i += 2) {
+    const auto& a = r.clients[i].accesses;
+    const auto& b = r.clients[i + 1].accesses;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      EXPECT_EQ(a[k].id, b[k].id);
+      EXPECT_EQ(a[k].lod, b[k].lod) << "access " << k << " of twin pair " << i;
+      EXPECT_EQ(a[k].compressed_bytes, b[k].compressed_bytes);
+      if (a[k].lod > 0) ++coarse;
+    }
+  }
+  EXPECT_GT(coarse, 0u);
+  // Both tiers coalesced: more distinct site keys than distinct view sets
+  // visited means coarse and full flights of one id were keyed apart.
+  std::unordered_set<ViewSetId, lightfield::ViewSetIdHash> ids;
+  for (const auto& pc : r.clients) {
+    for (const AccessRecord& a : pc.accesses) ids.insert(a.id);
+  }
+  EXPECT_GT(total(r, "site.fetch_keys"), ids.size());
+  for (int i = 0; i < 2; ++i) {
+    const obs::Gauge* g = r.obs->metrics.find_gauge(
+        "agent.demand_wan_active", "component=agent,inst=" + std::to_string(i));
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->value(), 0.0);
+  }
 }
 
 TEST(CoSitedScenario, CoSitedRunsAreDeterministic) {

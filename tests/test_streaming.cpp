@@ -782,6 +782,48 @@ TEST_F(PipelineTest, ServerAgentGeneratesOnDvsMiss) {
   EXPECT_EQ(lightfield::ViewSet::decompress(received), source_->build(id));
 }
 
+TEST_F(PipelineTest, GeneratedMissReachesTheClientAsGenerated) {
+  // A view set rendered on a DVS miss is delivered as kGenerated — not
+  // classified from the new exNode's replicas — and still counts as a WAN
+  // access on both sides.
+  ServerAgentConfig server_cfg;
+  server_cfg.depots = wan_depots_;
+  ServerAgent server(sim_, net_, lors_, *dvs_, server_node_, source_, server_cfg);
+  dvs_->register_server_agent(&server);
+  obs::Context obs;
+  ClientAgentConfig cfg;
+  cfg.prefetch = false;
+  ClientAgent agent(sim_, net_, fabric_, lors_, *dvs_, source_->lattice(), agent_node_,
+                    cfg, &obs);
+  ClientConfig client_cfg;
+  client_cfg.timing = ClientConfig::Timing::kModeled;
+  Client client(sim_, net_, small_config(kResolution), client_node_, agent, client_cfg,
+                &obs);
+
+  const Spherical dir = source_->lattice().view_set_center({2, 6});
+  bool ready = false;
+  client.set_view(dir, [&](bool ok) { ready = ok; });
+  sim_.run();
+  ASSERT_TRUE(ready);
+  EXPECT_EQ(server.generated_count(), 1u);
+  ASSERT_EQ(client.accesses().size(), 1u);
+  EXPECT_EQ(client.accesses().front().cls, AccessClass::kGenerated);
+  EXPECT_EQ(agent.metrics().wan_accesses.value(), 1u);
+  EXPECT_EQ(obs.metrics.counter_total("session.wan"), 1u);
+  EXPECT_EQ(agent.demand_wan_active(), 0);
+
+  // The exNode is now published: a later fetch of the same set (after the
+  // agent forgot the bytes) is an ordinary WAN access.
+  ClientAgent fresh(sim_, net_, fabric_, lors_, *dvs_, source_->lattice(), agent_node_,
+                    cfg, &obs);
+  std::optional<AccessClass> cls;
+  fresh.request_view_set({2, 6}, [&](const ClientAgent::Delivery& d) { cls = d.cls; });
+  sim_.run();
+  ASSERT_TRUE(cls.has_value());
+  EXPECT_EQ(*cls, AccessClass::kWan);
+  EXPECT_EQ(server.generated_count(), 1u);
+}
+
 TEST_F(PipelineTest, ServerAgentPublishesLfz2WhenConfigured) {
   // Flip the whole database to the inter-view-predicted container; the
   // delivery path and the client-side decode must not care.
